@@ -22,10 +22,11 @@ from pathlib import Path
 
 from benchmarks.conftest import bench_scale
 from repro.core import System, SystemMode
-from repro.kernel.dcache import DentryCache
+from repro.kernel.dcache import MAX_CREDS, MAX_ENTRIES, DentryCache
 from repro.kernel.security.server import (
     _FASTPATH_UNCACHEABLE_ERRNOS,
     _UNCACHEABLE_ERRNOS,
+    CACHE_SIZE,
     SecurityServer,
 )
 
@@ -40,9 +41,12 @@ JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_fault_overhead.json"
 # Guard-free clones: the instrumented bodies minus the fault guard.
 # ----------------------------------------------------------------------
 def _put_unguarded(self, path, follow, entry):
-    self._entries[(self.mount_epoch, path, follow)] = entry
-    if len(self._entries) > self.max_entries:
-        self._entries.popitem(last=False)
+    key = (self.mount_epoch, path, follow)
+    self._entries[key] = entry
+    self._index.add(path, key)
+    if len(self._entries) > MAX_ENTRIES:
+        evicted_key, _ = self._entries.popitem(last=False)
+        self._index.discard(evicted_key[1], evicted_key)
 
 
 def _perms_for_unguarded(self, cred_epoch, cred):
@@ -54,7 +58,7 @@ def _perms_for_unguarded(self, cred_epoch, cred):
     perms = self._perms.get(key)
     if perms is None:
         perms = self._perms[key] = {}
-        if len(self._perms) > self.max_creds:
+        if len(self._perms) > MAX_CREDS:
             self._perms.popitem(last=False)
     else:
         self._perms.move_to_end(key)
@@ -83,8 +87,10 @@ def _check_unguarded(self, req):
             object.__setattr__(decision, "fastpath_ok", True)
         if decision.errno not in _UNCACHEABLE_ERRNOS:
             self._cache[key] = decision
-            if len(self._cache) > self.cache_size:
-                self._cache.popitem(last=False)
+            self._index.add(key[5], key)
+            if len(self._cache) > CACHE_SIZE:
+                evicted_key, _ = self._cache.popitem(last=False)
+                self._index.discard(evicted_key[5], evicted_key)
     self._record(req, decision, cached=False)
     return decision
 

@@ -241,14 +241,6 @@ class UserDatabase:
         path = f"{PASSWD_FRAGMENT_DIR}/{entry.name}"
         self.kernel.write_file(task, path, format_passwd([entry]).encode())
 
-    def read_own_shadow_fragment(self, task: Task, username: str) -> ShadowEntry:
-        data = self.kernel.read_file(task, f"{SHADOW_FRAGMENT_DIR}/{username}")
-        return parse_shadow(data.decode())[0]
-
-    def write_own_shadow_fragment(self, task: Task, entry: ShadowEntry) -> None:
-        path = f"{SHADOW_FRAGMENT_DIR}/{entry.name}"
-        self.kernel.write_file(task, path, format_shadow([entry]).encode())
-
     def fragment_usernames(self) -> List[str]:
         if not self.kernel.vfs.exists(PASSWD_FRAGMENT_DIR):
             return []

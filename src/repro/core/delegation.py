@@ -114,11 +114,6 @@ class DelegationPolicy:
         ]
         return sorted(candidates, key=DelegationRule.specificity, reverse=True)
 
-    def find_uid_rule(self, invoker_uid: int, invoker_gids: Tuple[int, ...],
-                      target_uid: int) -> Optional[DelegationRule]:
-        rules = self.find_uid_rules(invoker_uid, invoker_gids, target_uid)
-        return rules[0] if rules else None
-
     def find_group_join_rule(self, invoker_uid: int, invoker_gids: Tuple[int, ...],
                              target_gid: int) -> Optional[DelegationRule]:
         for rule in self._rules:

@@ -11,11 +11,7 @@ from repro.fleet.engine import (
     FleetConfig,
     FleetEngine,
     GLOBAL,
-    HASH,
-    MOD,
     PER_SHARD,
-    RANDOM,
-    ROUND_ROBIN,
     run_fleet,
 )
 from repro.fleet.sessions import DEFAULT_MIX, SCRIPTS
@@ -26,5 +22,5 @@ __all__ = [
     "FleetConfig", "FleetEngine", "FleetStats", "HarnessClock",
     "LatencyLedger", "Shard", "ShardReport", "TickClock",
     "build_shards", "run_fleet", "DEFAULT_MIX", "SCRIPTS",
-    "ROUND_ROBIN", "RANDOM", "MOD", "HASH", "GLOBAL", "PER_SHARD",
+    "GLOBAL", "PER_SHARD",
 ]

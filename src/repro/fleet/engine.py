@@ -8,35 +8,27 @@ session per step — so the interleaving is a pure function of
 ``(seed, config)`` and two runs agree bit-for-bit on every counter.
 
 Assignment is by tenant group: each session belongs to one of
-``config.tenants`` tenant groups and every tenant group lives on
-exactly one shard, placed either by modulo or by consistent hash
-(CRC32 of the tenant name — never the builtin ``hash()``, which moves
-under ``PYTHONHASHSEED``).
+``config.tenants`` tenant groups and tenant group ``i`` lives on shard
+``i % shards``.
 
-Scheduling policies:
+Scheduling is round-robin: the scheduler cycles through live sessions
+in admission order (finished sessions swap-removed). Schedule modes:
 
-* ``round-robin`` — cycle through live sessions in admission order
-  (finished sessions swap-removed);
-* ``random`` — pick the next session uniformly from the live set with
-  the dedicated scheduler RNG.
-
-Schedule modes:
-
-* ``global`` — the original oracle: one round-robin (or random draw)
-  over *every* live session in the fleet, whatever shard it lives on.
-  Maximally interleaved, inherently sequential.
+* ``global`` — the original oracle: one round-robin over *every* live
+  session in the fleet, whatever shard it lives on. Maximally
+  interleaved, inherently sequential.
 * ``per-shard`` — the partitionable schedule: each shard's sessions
-  are scheduled independently by :func:`run_shard_group` with a
-  shard-derived scheduler seed, and the per-shard results are folded
-  with :meth:`FleetStats.merge` in shard-id order. Because shards
-  share nothing (pinned by the isolation tests), the fold is the same
-  whether the groups ran back-to-back in this process or concurrently
-  in worker processes — which is exactly how
-  :mod:`repro.parallel.fleet` turns the mode into wall-clock speedup.
+  are scheduled independently by :func:`run_shard_group`, and the
+  per-shard results are folded with :meth:`FleetStats.merge` in
+  shard-id order. Because shards share nothing (pinned by the
+  isolation tests), the fold is the same whether the groups ran
+  back-to-back in this process or concurrently in worker processes —
+  which is exactly how :mod:`repro.parallel.fleet` turns the mode into
+  wall-clock speedup.
 
 Cross-shard bookkeeping is batched: credential-mutating sessions only
 raise their shard's ``needs_sync`` flag, and every
-``bookkeeping_interval`` steps the engine drains the flags with one
+:data:`BOOKKEEPING_INTERVAL` steps the engine drains the flags with one
 supervised daemon poll per dirty shard (its own shard only, in
 per-shard mode — there is no cross-shard state to drain).
 """
@@ -58,17 +50,19 @@ from repro.fleet.sessions import (
     user_for,
 )
 from repro.fleet.shard import Shard, build_shards
-from repro.fleet.stats import FleetStats, LatencyLedger
+from repro.fleet.stats import (
+    FleetStats,
+    LatencyLedger,
+    ShardReport,
+    throughput,
+)
 from repro.kernel.errno import SyscallError
-
-ROUND_ROBIN = "round-robin"
-RANDOM = "random"
-
-MOD = "mod"
-HASH = "hash"
 
 GLOBAL = "global"
 PER_SHARD = "per-shard"
+
+#: Scheduler steps between cross-shard bookkeeping sweeps.
+BOOKKEEPING_INTERVAL = 1024
 
 
 def _derive_seed(*parts: object) -> int:
@@ -95,14 +89,10 @@ class FleetConfig:
     sessions: int = 100
     shards: int = 1
     mode: SystemMode = SystemMode.PROTEGO
-    policy: str = ROUND_ROBIN    # or RANDOM
-    assign: str = MOD            # or HASH (consistent hash of tenant)
     seed: int = 0
     #: Tenant groups; each group is pinned to one shard.
     tenants: int = 64
     fastpath: bool = True
-    #: Scheduler steps between cross-shard bookkeeping sweeps.
-    bookkeeping_interval: int = 1024
     #: Relative script weights (defaults to the canonical day mix).
     mix: Optional[Dict[str, int]] = None
     #: Fold a CRC over the (sid, op) schedule into the report — the
@@ -149,17 +139,6 @@ class Tally:
         self.steps = 0
 
 
-def shard_index_for(assign: str, shard_count: int, tenant_names: List[str],
-                    tenant_index: int) -> int:
-    """Tenant-group placement, as a pure function — the parent and
-    every worker process compute the identical assignment from the
-    config alone."""
-    if assign == HASH:
-        name = tenant_names[tenant_index]
-        return zlib.crc32(name.encode()) % shard_count
-    return tenant_index % shard_count
-
-
 def admit_sessions(config: FleetConfig, shards_by_index: Dict[int, Shard],
                    tenant_names: List[str],
                    shard_count: int) -> List[_Session]:
@@ -175,9 +154,7 @@ def admit_sessions(config: FleetConfig, shards_by_index: Dict[int, Shard],
         rng = random.Random(_derive_seed("session", config.seed, sid))
         script = pick_script(rng, config.mix or DEFAULT_MIX)
         tenant_index = sid % config.tenants
-        shard = shards_by_index.get(
-            shard_index_for(config.assign, shard_count, tenant_names,
-                            tenant_index))
+        shard = shards_by_index.get(tenant_index % shard_count)
         if shard is None:
             continue
         if config.roster:
@@ -211,19 +188,17 @@ class GroupResult:
     digest: Optional[int]
 
 
-def run_session_group(live: List[_Session], policy: str,
-                      sched_rng: random.Random, clock: TickClock,
-                      interval: int, bookkeep: Callable[[], None],
+def run_session_group(live: List[_Session], clock: TickClock,
+                      bookkeep: Callable[[], None],
                       record_schedule: bool,
                       tally: Optional[Tally] = None) -> GroupResult:
-    """The scheduler loop, over one group of sessions.
+    """The round-robin scheduler loop, over one group of sessions.
 
     This is the single step loop behind every mode: the global engine
     passes the whole fleet as one group with a drain-all bookkeeper;
     the per-shard mode (serial or in a worker process) passes one
     shard's sessions with a sync-this-shard bookkeeper. One op per
-    step; the interleaving is a pure function of (group, policy,
-    sched_rng, fault state).
+    step; the interleaving is a pure function of (group, fault state).
     """
     session_ledger = LatencyLedger()
     op_ledgers: Dict[str, LatencyLedger] = {}
@@ -233,9 +208,7 @@ def run_session_group(live: List[_Session], policy: str,
     cursor = 0
 
     while live:
-        if policy == RANDOM:
-            cursor = sched_rng.randrange(len(live))
-        elif cursor >= len(live):
+        if cursor >= len(live):
             cursor = 0
         session = live[cursor]
         if session.started is None:
@@ -314,11 +287,43 @@ def run_session_group(live: List[_Session], policy: str,
                 tally.live = len(live)
         else:
             cursor += 1
-        if steps % interval == 0:
+        if steps % BOOKKEEPING_INTERVAL == 0:
             bookkeep()
 
     return GroupResult(completed, failed_count, steps, session_ledger,
                        op_ledgers, op_counts, digest)
+
+
+def _fleet_stats(config: FleetConfig, clock: TickClock, elapsed: int,
+                 result: GroupResult, sessions: int,
+                 reports: List[ShardReport]) -> FleetStats:
+    """The report for one scheduled group: the whole fleet under the
+    global schedule, or one shard's part under the per-shard one."""
+    p50, p95, p99 = result.session_ledger.percentiles()
+    return FleetStats(
+        mode=config.mode.value,
+        sessions=sessions,
+        shards=len(reports),
+        seed=config.seed,
+        fastpath=config.fastpath,
+        clock="wall" if clock.wall else "tick",
+        schedule=config.schedule,
+        completed=result.completed,
+        failed=result.failed,
+        ops=result.steps,
+        elapsed=float(elapsed),
+        sessions_per_sec=throughput(result.completed, elapsed, clock.wall),
+        session_p50=p50, session_p95=p95, session_p99=p99,
+        session_mean=result.session_ledger.mean,
+        session_max=result.session_ledger.max,
+        op_latency={kind: ledger.percentiles()
+                    for kind, ledger in result.op_ledgers.items()},
+        op_counts=result.op_counts,
+        shard_reports=reports,
+        schedule_digest=result.digest,
+        session_ledger=result.session_ledger,
+        op_ledgers=result.op_ledgers,
+    )
 
 
 def run_shard_group(shard: Shard, sessions: Sequence[_Session],
@@ -328,61 +333,27 @@ def run_shard_group(shard: Shard, sessions: Sequence[_Session],
     """Run one shard's session group under the per-shard schedule and
     return its single-shard :class:`FleetStats` part.
 
-    The scheduler seed derives from ``(config.seed, shard.index)``, so
-    the group's interleaving — and therefore its schedule CRC and the
+    The group's interleaving — and therefore its schedule CRC and the
     shard's audit ring — is a pure function of the config, independent
     of which process runs it or what other shards are doing. Both the
     serial per-shard engine and the parallel workers call exactly this
     function; :meth:`FleetStats.merge` folds the parts either way.
     """
     clock = clock if clock is not None else TickClock()
-    sched_rng = random.Random(_derive_seed("sched", config.seed, shard.index))
-    interval = max(1, config.bookkeeping_interval)
 
     def bookkeep() -> None:
         if shard.needs_sync:
             shard.sync()
 
     start = clock.now()
-    result = run_session_group(list(sessions), config.policy, sched_rng,
-                               clock, interval, bookkeep,
+    result = run_session_group(list(sessions), clock, bookkeep,
                                config.record_schedule, tally)
     bookkeep()
     elapsed = clock.now() - start
     report = shard.report()
     report.schedule_crc = result.digest
-
-    if clock.wall:
-        throughput = (result.completed / (elapsed / 1e9)) if elapsed else 0.0
-    else:
-        throughput = (result.completed / (elapsed / 1e6)) if elapsed else 0.0
-    p50, p95, p99 = result.session_ledger.percentiles()
-    return FleetStats(
-        mode=config.mode.value,
-        sessions=report.sessions,
-        shards=1,
-        policy=config.policy,
-        assign=config.assign,
-        seed=config.seed,
-        fastpath=config.fastpath,
-        clock="wall" if clock.wall else "tick",
-        schedule=PER_SHARD,
-        completed=result.completed,
-        failed=result.failed,
-        ops=result.steps,
-        elapsed=float(elapsed),
-        sessions_per_sec=throughput,
-        session_p50=p50, session_p95=p95, session_p99=p99,
-        session_mean=result.session_ledger.mean,
-        session_max=result.session_ledger.max,
-        op_latency={kind: ledger.percentiles()
-                    for kind, ledger in result.op_ledgers.items()},
-        op_counts=result.op_counts,
-        shard_reports=[report],
-        schedule_digest=result.digest,
-        session_ledger=result.session_ledger,
-        op_ledgers=result.op_ledgers,
-    )
+    return _fleet_stats(config, clock, elapsed, result, report.sessions,
+                        [report])
 
 
 class FleetEngine:
@@ -391,10 +362,6 @@ class FleetEngine:
     def __init__(self, config: FleetConfig,
                  clock: Optional[TickClock] = None,
                  shards: Optional[List[Shard]] = None):
-        if config.policy not in (ROUND_ROBIN, RANDOM):
-            raise ValueError(f"unknown policy {config.policy!r}")
-        if config.assign not in (MOD, HASH):
-            raise ValueError(f"unknown assignment {config.assign!r}")
         if config.schedule not in (GLOBAL, PER_SHARD):
             raise ValueError(f"unknown schedule {config.schedule!r}")
         self.config = config
@@ -408,11 +375,6 @@ class FleetEngine:
             shard.attach_fleet_render(self._render_live)
 
     # ------------------------------------------------------------------
-    def shard_for(self, tenant_index: int) -> Shard:
-        return self.shards[shard_index_for(
-            self.config.assign, len(self.shards), self.tenant_names,
-            tenant_index)]
-
     def _admit(self) -> List[_Session]:
         """Build every session's generator (deterministically — each
         session's RNG and script choice depend only on (seed, sid))."""
@@ -429,21 +391,18 @@ class FleetEngine:
     def _run_global(self) -> FleetStats:
         config = self.config
         clock = self.clock
-        sched_rng = random.Random(_derive_seed("sched", config.seed))
-
         for shard in self.shards:
             shard.begin_run()
         live = self._admit()
         self.tally.reset(len(live))
 
         run_start = clock.now()
-        result = run_session_group(
-            live, config.policy, sched_rng, clock,
-            max(1, config.bookkeeping_interval), self._bookkeep,
-            config.record_schedule, self.tally)
+        result = run_session_group(live, clock, self._bookkeep,
+                                   config.record_schedule, self.tally)
         self._bookkeep()
         elapsed = clock.now() - run_start
-        return self._stats(elapsed, result)
+        return _fleet_stats(config, clock, elapsed, result, config.sessions,
+                            [shard.report() for shard in self.shards])
 
     def run_parts(self) -> List[FleetStats]:
         """The serial per-shard run, as its mergeable parts: each
@@ -472,41 +431,6 @@ class FleetEngine:
                 shard.sync()
 
     # ------------------------------------------------------------------
-    def _stats(self, elapsed, result: GroupResult) -> FleetStats:
-        config = self.config
-        completed = result.completed
-        if self.clock.wall:
-            throughput = (completed / (elapsed / 1e9)) if elapsed else 0.0
-        else:
-            throughput = (completed / (elapsed / 1e6)) if elapsed else 0.0
-        p50, p95, p99 = result.session_ledger.percentiles()
-        return FleetStats(
-            mode=config.mode.value,
-            sessions=config.sessions,
-            shards=len(self.shards),
-            policy=config.policy,
-            assign=config.assign,
-            seed=config.seed,
-            fastpath=config.fastpath,
-            clock="wall" if self.clock.wall else "tick",
-            schedule=config.schedule,
-            completed=completed,
-            failed=result.failed,
-            ops=result.steps,
-            elapsed=float(elapsed),
-            sessions_per_sec=throughput,
-            session_p50=p50, session_p95=p95, session_p99=p99,
-            session_mean=result.session_ledger.mean,
-            session_max=result.session_ledger.max,
-            op_latency={kind: ledger.percentiles()
-                        for kind, ledger in result.op_ledgers.items()},
-            op_counts=result.op_counts,
-            shard_reports=[shard.report() for shard in self.shards],
-            schedule_digest=result.digest,
-            session_ledger=result.session_ledger,
-            op_ledgers=result.op_ledgers,
-        )
-
     def _render_live(self) -> str:
         """The fleet-wide header each shard's /proc/protego/fleet
         prepends to its own report."""
@@ -517,7 +441,6 @@ class FleetEngine:
         hard = sum(s.hard_failures for s in self.shards)
         return (f"fleet: mode={config.mode.value} "
                 f"sessions={config.sessions} shards={len(self.shards)} "
-                f"policy={config.policy} assign={config.assign} "
                 f"schedule={config.schedule} "
                 f"seed={config.seed} live={tally.live} "
                 f"completed={tally.completed} failed={tally.failed} "

@@ -45,6 +45,14 @@ def combine_schedule_digests(
     return crc
 
 
+def throughput(completed: int, elapsed: float, wall: bool) -> float:
+    """Sessions per wall second (*elapsed* in ns) or per million ticks
+    (*elapsed* in ticks)."""
+    if not elapsed:
+        return 0.0
+    return completed / (elapsed / (1e9 if wall else 1e6))
+
+
 def percentile(values: List[float], fraction: float) -> float:
     """Nearest-rank percentile of *values* (not assumed sorted)."""
     if not values:
@@ -210,8 +218,6 @@ class FleetStats:
     mode: str
     sessions: int
     shards: int
-    policy: str
-    assign: str
     seed: int
     fastpath: bool
     clock: str              # "tick" or "wall"
@@ -277,8 +283,7 @@ class FleetStats:
         processes merged)."""
         return {
             "mode": self.mode, "sessions": self.sessions,
-            "shards": self.shards, "policy": self.policy,
-            "assign": self.assign, "seed": self.seed,
+            "shards": self.shards, "seed": self.seed,
             "schedule": self.schedule,
             "completed": self.completed, "failed": self.failed,
             "ops": self.ops,
@@ -337,10 +342,6 @@ class FleetStats:
 
         completed = sum(part.completed for part in parts)
         elapsed = float(sum(part.elapsed for part in parts))
-        if first.clock == "wall":
-            throughput = completed / (elapsed / 1e9) if elapsed else 0.0
-        else:
-            throughput = completed / (elapsed / 1e6) if elapsed else 0.0
         if session_ledger is not None:
             p50, p95, p99 = session_ledger.percentiles()
             mean, peak = session_ledger.mean, session_ledger.max
@@ -350,8 +351,6 @@ class FleetStats:
             mode=first.mode,
             sessions=sum(part.sessions for part in parts),
             shards=len(reports),
-            policy=first.policy,
-            assign=first.assign,
             seed=first.seed,
             fastpath=first.fastpath,
             clock=first.clock,
@@ -360,7 +359,8 @@ class FleetStats:
             failed=sum(part.failed for part in parts),
             ops=sum(part.ops for part in parts),
             elapsed=elapsed,
-            sessions_per_sec=throughput,
+            sessions_per_sec=throughput(completed, elapsed,
+                                        first.clock == "wall"),
             session_p50=p50, session_p95=p95, session_p99=p99,
             session_mean=mean, session_max=peak,
             op_latency={op: ledger.percentiles()
@@ -378,8 +378,7 @@ class FleetStats:
         unit = self.latency_unit
         lines = [
             f"fleet: mode={self.mode} sessions={self.sessions} "
-            f"shards={self.shards} policy={self.policy} "
-            f"assign={self.assign} seed={self.seed} "
+            f"shards={self.shards} seed={self.seed} "
             f"fastpath={int(self.fastpath)} clock={self.clock}",
             f"completed={self.completed} failed={self.failed} "
             f"ops={self.ops} elapsed={self.elapsed:.0f}{unit} "

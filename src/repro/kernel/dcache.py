@@ -13,8 +13,8 @@ generations the PR 1 decision cache established:
   memory.
 * **path prefix** — `invalidate_prefix(path)` on namespace mutations
   (create/unlink/rename/rmdir/symlink/link) and attribute changes
-  (chmod/chown) drops the path's entries and every descendant's.
-  :meth:`SecurityServer.invalidate_object` forwards here, so the
+  (chmod/chown) drops the path's entries and every descendant's. The
+  VFS subscribes it to the generation hub's path fan-out, so the
   syscall layer keeps a single invalidation call site per mutation.
 * **cred epoch** — permission entries are keyed on the caller's
   credential epoch (bumped by setuid/setgid/setgroups/exec commits),
@@ -50,6 +50,11 @@ from repro.kernel.pathindex import PathIndex
 #: Sentinel distinguishing "no cached permission entry" from a cached
 #: ALLOW (stored as None).
 PERM_MISS = object()
+
+#: Path-map capacity (LRU) and the number of credential generations
+#: whose permission maps are kept (LRU).
+MAX_ENTRIES = 4096
+MAX_CREDS = 256
 
 
 @dataclasses.dataclass
@@ -112,11 +117,8 @@ class Dentry:
 class DentryCache:
     """Memoized path walks plus a per-directory permission cache."""
 
-    def __init__(self, max_entries: int = 4096, max_creds: int = 256,
-                 generations: Optional[GenerationHub] = None):
+    def __init__(self, generations: Optional[GenerationHub] = None):
         self.enabled = True
-        self.max_entries = max_entries
-        self.max_creds = max_creds
         #: The shared generation authority; the mount-table generation
         #: (part of every path key) lives there so the fused fast path
         #: sees the same epoch this cache keys on.
@@ -163,7 +165,7 @@ class DentryCache:
         key = (self.mount_epoch, path, follow)
         self._entries[key] = entry
         self._index.add(path, key)
-        if len(self._entries) > self.max_entries:
+        if len(self._entries) > MAX_ENTRIES:
             evicted_key, _ = self._entries.popitem(last=False)
             self._index.discard(evicted_key[1], evicted_key)
 
@@ -186,7 +188,7 @@ class DentryCache:
                 self.stats.alloc_failures += 1
                 return {}
             perms = self._perms[key] = {}
-            if len(self._perms) > self.max_creds:
+            if len(self._perms) > MAX_CREDS:
                 self._perms.popitem(last=False)
         else:
             self._perms.move_to_end(key)
@@ -219,12 +221,6 @@ class DentryCache:
         if stale:
             self.stats.invalidations += 1
         return len(stale)
-
-    def flush_permissions(self) -> None:
-        """Drop cached permission results only (a policy reload): the
-        credential-independent path map stays warm."""
-        self._perms.clear()
-        self._last_perms = None
 
     def flush(self) -> None:
         self._entries.clear()

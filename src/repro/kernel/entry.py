@@ -1,26 +1,23 @@
-"""Syscall-entry gating: SFIP-style permitted-next-syscall bitmasks.
+"""Syscall-entry gating: SFIP-style permitted-syscall bitmasks.
 
 This module absorbs the dispatch preamble that used to live inline in
 every ``sys_*`` body (:mod:`repro.kernel.syscalls`): advance the
-clock, give the ``syscall.entry`` fault site its shot, and — new in
-this PR — check a **precomputed per-task permitted-syscall bitmask**
-before any argument processing, in the spirit of SFIP
-("SFIP: Coarse-Grained Syscall-Flow-Integrity Protection"): the set of
-syscalls a task may issue next is a pure function of slow-changing
-state (its binary, its confinement), so membership can be one AND
-against a cached integer instead of a policy walk.
+clock, give the ``syscall.entry`` fault site its shot, and check a
+**precomputed per-task permitted-syscall bitmask** before any argument
+processing, in the spirit of SFIP ("SFIP: Coarse-Grained
+Syscall-Flow-Integrity Protection"): the set of syscalls a task may
+issue is a pure function of slow-changing state (its confinement), so
+membership can be one AND against a cached integer instead of a policy
+walk.
 
-Two sources narrow a task's mask from :data:`ALL_MASK`:
+A task's mask narrows from :data:`ALL_MASK` only through
+:meth:`EntryGate.restrict`, a per-task confinement set (seccomp's
+strict mode, Protego's unprivileged helpers). The computed mask is
+cached on the task (``task.entry_mask``); :meth:`EntryGate.restrict`
+and :meth:`EntryGate.unrestrict` clear it, which is the only thing
+that forces a recompute. Credential changes (setuid, execve) leave it
+alone: confinement is per task, not per identity.
 
-* :meth:`EntryGate.restrict` — a per-task confinement set (seccomp's
-  strict mode, Protego's unprivileged helpers).
-* :meth:`EntryGate.bind_binary` — a per-binary allowlist keyed by
-  ``task.exe_path`` (the groundwork for KASR-style per-binary syscall
-  profiles; ROADMAP item 5).
-
-The computed mask is cached on the task (``task.entry_mask``) and
-revalidated by two integer compares: the task's credential epoch and
-the gate's own generation (bumped when a binary binding changes).
 A rejected syscall raises ``EPERM`` before the kernel looks at a
 single argument. The ``entry.mask`` fault site fails **closed**: under
 an injected fault the gate still computes the correct mask — it only
@@ -30,9 +27,7 @@ what it may call.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
-
-from repro.kernel.errno import Errno, SyscallError
+from typing import Dict, Iterable
 
 #: Every syscall the dispatcher exports, in dispatch-table order. The
 #: bit positions are ABI: a persisted or /proc-rendered mask is only
@@ -94,41 +89,21 @@ class EntryGateStats:
 
 
 class EntryGate:
-    """The per-kernel syscall-entry bitmask checker."""
+    """The per-kernel syscall-entry bitmask checker. The check itself
+    is inlined into ``SyscallMixin._enter`` and the hot syscalls; the
+    gate owns the counters, the fault site and the confinement API."""
 
     def __init__(self, fault_site=None):
         self.stats = EntryGateStats()
         self.fault_site = fault_site
-        #: exe_path -> permitted mask (KASR-style per-binary allowlists).
-        self._binary_masks: Dict[str, int] = {}
-        #: Bumped whenever a binary binding changes, so cached per-task
-        #: masks revalidate with one integer compare.
-        self.generation = 0
 
-    # ------------------------------------------------------------------
-    # The hot path: called at every syscall entry, before argument
-    # processing. Two int compares on the warm path, no allocation.
-    # ------------------------------------------------------------------
-    def check(self, task, name: str) -> None:
-        mask = task.entry_mask
-        if (mask is None or task.entry_epoch != task.cred_epoch
-                or task.entry_gen != self.generation):
-            mask = self._revalidate(task)
-        else:
-            self.stats.mask_hits += 1
-        if not mask & SYSCALL_BITS[name]:
-            self.stats.rejections += 1
-            raise SyscallError(Errno.EPERM, f"entry gate: {name}")
-
-    def _revalidate(self, task) -> int:
+    def recompute(self, task) -> int:
+        """Compute *task*'s mask after :meth:`restrict` or
+        :meth:`unrestrict` cleared it, and cache it on the task unless
+        the fault site fires."""
         self.stats.mask_recomputes += 1
-        mask = ALL_MASK
-        binary_mask = self._binary_masks.get(task.exe_path)
-        if binary_mask is not None:
-            mask &= binary_mask
         allowed = task.entry_allowed
-        if allowed is not None:
-            mask &= mask_for(allowed)
+        mask = ALL_MASK if allowed is None else mask_for(allowed)
         site = self.fault_site
         if site is not None and site.armed and site.should_fail(task.exe_path):
             # Fail closed: serve the correct mask but refuse to cache
@@ -136,12 +111,10 @@ class EntryGate:
             self.stats.uncached_recomputes += 1
             return mask
         task.entry_mask = mask
-        task.entry_epoch = task.cred_epoch
-        task.entry_gen = self.generation
         return mask
 
     # ------------------------------------------------------------------
-    # Confinement sources
+    # Confinement
     # ------------------------------------------------------------------
     def restrict(self, task, names: Iterable[str]) -> int:
         """Confine *task* to *names* (seccomp-strict style). Returns the
@@ -156,19 +129,6 @@ class EntryGate:
         task.entry_allowed = None
         task.entry_mask = None
 
-    def bind_binary(self, exe_path: str, names: Optional[Iterable[str]]) -> None:
-        """Bind (or with ``None``, unbind) a per-binary allowlist for
-        *exe_path*. Bumps the gate generation so every task's cached
-        mask revalidates on its next entry."""
-        if names is None:
-            self._binary_masks.pop(exe_path, None)
-        else:
-            self._binary_masks[exe_path] = mask_for(names)
-        self.generation += 1
-
-    def binary_mask(self, exe_path: str) -> Optional[int]:
-        return self._binary_masks.get(exe_path)
-
     # ------------------------------------------------------------------
     def render(self) -> str:
         """Stat lines for /proc/protego/fastpath."""
@@ -177,7 +137,5 @@ class EntryGate:
             f"entry_checks={s.checks} mask_hits={s.mask_hits} "
             f"mask_recomputes={s.mask_recomputes} "
             f"uncached_recomputes={s.uncached_recomputes}\n"
-            f"bitmask_rejections={s.rejections} "
-            f"bound_binaries={len(self._binary_masks)} "
-            f"gate_generation={self.generation}\n"
+            f"bitmask_rejections={s.rejections}\n"
         )

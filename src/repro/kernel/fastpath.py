@@ -64,6 +64,9 @@ OP_STAT = 0x10
 OP_OPEN = 0x20
 OP_PERM = 0x40
 
+#: Table capacity; eviction is FIFO.
+MAX_ENTRIES = 8192
+
 
 class FastVerdict:
     """One fused verdict: allow (with the resolved inode) or deny
@@ -104,9 +107,8 @@ class FastPathStats:
 class FastPathTable:
     """The per-kernel fused verdict table."""
 
-    def __init__(self, generations, max_entries: int = 8192, fault_site=None):
+    def __init__(self, generations, fault_site=None):
         self.generations = generations
-        self.max_entries = max_entries
         self.fault_site = fault_site
         self.enabled = True
         self.stats = FastPathStats()
@@ -146,7 +148,7 @@ class FastPathTable:
             self.stats.alloc_failures += 1
             return
         table = self._table
-        if len(table) >= self.max_entries:
+        if len(table) >= MAX_ENTRIES:
             evicted_key, _ = table.popitem(last=False)
             self._index.discard(evicted_key[1], evicted_key)
         table[key] = FastVerdict(inode, errno, context, audit_suffix,
@@ -179,7 +181,7 @@ class FastPathTable:
         rate = s.hits / s.lookups if s.lookups else 0.0
         return (
             f"entries={len(self._table)} denials={denials} "
-            f"max_entries={self.max_entries} enabled={int(self.enabled)}\n"
+            f"max_entries={MAX_ENTRIES} enabled={int(self.enabled)}\n"
             f"{self.generations.render()}\n"
             f"lookups={s.lookups} hits={s.hits} misses={s.misses} "
             f"hit_rate={rate:.3f}\n"

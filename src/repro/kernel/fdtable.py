@@ -89,9 +89,6 @@ class FDTable:
         self._files = {fd: f for fd, f in self._files.items() if not f.cloexec()}
         self._next_fd = 0
 
-    def open_fds(self) -> Dict[int, OpenFile]:
-        return dict(self._files)
-
     def find_path(self, path: str) -> Optional[int]:
         for fd, open_file in self._files.items():
             if open_file.path == path:

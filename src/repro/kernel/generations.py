@@ -19,9 +19,9 @@ keying rather than by stamping (bumping the world on every setuid
 would evict every other subject's verdicts).
 
 The hub is also the fan-out point for **path-prefix invalidation**:
-subscribers (the fused table; in principle any path-keyed cache)
-receive every ``invalidate_path`` a mutation syscall announces, so the
-syscall layer keeps its single invalidation call site per mutation.
+subscribers (the dentry cache and the fused table) receive every
+``invalidate_path`` a mutation syscall announces, so the syscall layer
+keeps its single invalidation call site per mutation.
 """
 
 from __future__ import annotations

@@ -70,9 +70,6 @@ class Inode:
     def is_symlink(self) -> bool:
         return modes.is_lnk(self.mode)
 
-    def is_device(self) -> bool:
-        return modes.is_blk(self.mode) or modes.is_chr(self.mode)
-
     def is_setuid(self) -> bool:
         return modes.is_setuid(self.mode)
 

@@ -77,12 +77,11 @@ class Kernel(SyscallMixin):
         self.lsm = LSMChain()
         # The reference monitor: composes DAC + LSM chain + capability
         # checks, caches decisions, and keeps the audit ring behind
-        # /proc/protego/audit. The VFS dentry cache rides the same
-        # invalidation fan-out: one invalidate_object() per mutation
-        # reaches both caches.
+        # /proc/protego/audit. One invalidate_object() per mutation
+        # reaches the dentry cache and the fused table through the
+        # hub's path fan-out.
         self.security_server = SecurityServer(self.lsm, clock_fn=self.now,
                                               generations=self.generations)
-        self.security_server.attach_dcache(self.vfs.dcache)
         # Bound-method shortcut for the fused open(2) hit path: the
         # ring is created once and never replaced, so the three
         # attribute hops per audit replay collapse to one load.

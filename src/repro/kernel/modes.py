@@ -73,14 +73,6 @@ def is_lnk(mode: int) -> bool:
     return (mode & S_IFMT) == S_IFLNK
 
 
-def is_blk(mode: int) -> bool:
-    return (mode & S_IFMT) == S_IFBLK
-
-
-def is_chr(mode: int) -> bool:
-    return (mode & S_IFMT) == S_IFCHR
-
-
 def is_setuid(mode: int) -> bool:
     return bool(mode & S_ISUID)
 

@@ -61,9 +61,6 @@ class UserNamespace(Namespace):
         # is {0: owner_uid}.
         self.uid_map = dict(uid_map or {0: owner_uid})
 
-    def outside_uid(self, inside_uid: int) -> Optional[int]:
-        return self.uid_map.get(inside_uid)
-
     def inside_is_root(self, inside_uid: int = 0) -> bool:
         return inside_uid in self.uid_map
 

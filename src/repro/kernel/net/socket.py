@@ -76,9 +76,6 @@ class Socket:
         # extra netfilter rules (paper, Table 4 row 1).
         self.unprivileged_raw = unprivileged_raw
 
-    def is_privileged_port(self) -> bool:
-        return 0 < self.local_port < PRIVILEGED_PORT_MAX
-
     def enqueue(self, packet: Packet) -> None:
         if self.state is SocketState.CLOSED:
             return

@@ -68,6 +68,10 @@ _FASTPATH_UNCACHEABLE_ERRNOS = frozenset({Errno.ENOTDIR, Errno.ELOOP})
 
 _SETUID_HOOKS = frozenset({"task_fix_setuid", "task_fix_setgid"})
 
+#: Decision-cache capacity (LRU) and audit-ring capacity.
+CACHE_SIZE = 2048
+AUDIT_SIZE = 4096
+
 
 @dataclasses.dataclass
 class CacheStats:
@@ -96,14 +100,11 @@ class SecurityServer:
         self,
         lsm: LSMChain,
         clock_fn: Optional[Callable[[], int]] = None,
-        cache_size: int = 2048,
-        audit_size: int = 4096,
         generations: Optional[GenerationHub] = None,
     ):
         self.lsm = lsm
         self._clock = clock_fn or (lambda: 0)
         self.cache_enabled = True
-        self.cache_size = cache_size
         self._cache: "collections.OrderedDict[Tuple, Decision]" = collections.OrderedDict()
         # Reverse obj->keys index: object invalidation touches only
         # the affected decisions, not the whole cache.
@@ -113,12 +114,8 @@ class SecurityServer:
         #: permission maps, and the fused fast-path keys.
         self.generations = generations if generations is not None \
             else GenerationHub()
-        self.audit = AuditRing(audit_size)
+        self.audit = AuditRing(AUDIT_SIZE)
         self.stats = CacheStats()
-        # The VFS dentry cache, when attached, shares this server's
-        # invalidation call sites: the syscall layer announces each
-        # namespace/attribute mutation once and both caches hear it.
-        self._dcache = None
         #: Simulated AVC-node allocation failure: an armed site makes
         #: the cache insert a counted no-op, so decisions degrade to
         #: fresh computation. Rebound to the kernel's injector at boot.
@@ -162,19 +159,11 @@ class SecurityServer:
                 else:
                     self._cache[key] = decision
                     self._index.add(key[5], key)
-                    if len(self._cache) > self.cache_size:
+                    if len(self._cache) > CACHE_SIZE:
                         evicted_key, _ = self._cache.popitem(last=False)
                         self._index.discard(evicted_key[5], evicted_key)
         self._record(req, decision, cached=False)
         return decision
-
-    def check_verdict(self, req: AccessRequest) -> Tuple[Decision, Tuple[bool, int]]:
-        """:meth:`check` in verdict form: ``(decision, (fastpath_ok,
-        composed_generation))``. The dependency tuple names what a
-        fused caller must record: whether any layer vetoed memoization
-        and the composed generation the decision was computed under."""
-        decision = self.check(req)
-        return decision, (decision.fastpath_ok, self.generations.generation)
 
     def capable(self, task: "Task", cap: Capability, context: str = "") -> bool:
         """The kernel's single capability funnel, as a cached, audited
@@ -276,41 +265,32 @@ class SecurityServer:
         self.stats.invalidations += 1
         return task.cred_epoch
 
-    def attach_dcache(self, dcache) -> None:
-        """Tie the VFS dentry cache into this server's invalidation
-        fan-out (set up by the kernel at boot)."""
-        self._dcache = dcache
-
     def invalidate_object(self, obj: str) -> int:
         """Drop cached decisions about *obj* and (for paths) anything
         beneath it — a chmod on a directory changes the search
-        permission of every descendant walk. Path invalidations are
-        forwarded to the dentry cache so namespace mutations clear
-        stale (including negative) walk entries too."""
+        permission of every descendant walk. Path invalidations fan
+        out through the generation hub to every path-keyed cache (the
+        dentry cache and the fused verdict table), so namespace
+        mutations clear stale (including negative) walk entries too."""
         stale = self._index.collect(obj)
         for key in stale:
             self._cache.pop(key, None)
         if stale:
             self.stats.invalidations += 1
         if obj.startswith("/"):
-            if self._dcache is not None:
-                self._dcache.invalidate_prefix(obj)
-            # Fan the prefix out to every path-keyed cache on the hub
-            # (the fused verdict table subscribes at kernel boot).
             self.generations.invalidate_path(obj)
         return len(stale)
 
     def flush(self, reason: str = "") -> None:
-        """Global invalidation: a policy layer reloaded. The dentry
-        cache drops its permission entries in sympathy (its path map
-        is policy-independent and stays warm); the policy-generation
-        bump orphans every fused fast-path verdict at once."""
+        """Global invalidation: a policy layer reloaded. The
+        policy-generation bump orphans every fused fast-path verdict
+        at once. The dentry cache stays warm: its walks and DAC
+        results depend only on credentials and inode generations,
+        never on LSM policy."""
         self._cache.clear()
         self._index.clear()
         self.stats.flushes += 1
         self.generations.bump_policy()
-        if self._dcache is not None:
-            self._dcache.flush_permissions()
 
     def cache_len(self) -> int:
         return len(self._cache)

@@ -119,10 +119,11 @@ class SyscallMixin:
         existing sweep schedules keep their meaning), then check the
         task's SFIP-style permitted-syscall bitmask.
 
-        The bitmask check is :meth:`EntryGate.check` inlined — this is
-        the hottest line in the kernel (every syscall passes here) and
-        the call overhead alone is measurable against the fused-table
-        probe. Keep the two in lockstep.
+        The bitmask check is inlined here rather than a gate method —
+        this is the hottest line in the kernel (every syscall passes
+        here) and the call overhead alone is measurable against the
+        fused-table probe. A task's mask is cached until
+        :meth:`EntryGate.restrict`/``unrestrict`` clear it.
         """
         self.clock += 1
         if self._syscall_fault.armed and name in FAULTABLE_SYSCALLS:
@@ -130,9 +131,8 @@ class SyscallMixin:
         gate = self.entry_gate
         stats = gate.stats
         mask = task.entry_mask
-        if (mask is None or task.entry_epoch != task.cred_epoch
-                or task.entry_gen != gate.generation):
-            mask = gate._revalidate(task)
+        if mask is None:
+            mask = gate.recompute(task)
         else:
             stats.mask_hits += 1
         if not mask & SYSCALL_BITS[name]:
@@ -286,9 +286,8 @@ class SyscallMixin:
         gate = self.entry_gate
         gstats = gate.stats
         emask = task.entry_mask
-        if (emask is None or task.entry_epoch != task.cred_epoch
-                or task.entry_gen != gate.generation):
-            emask = gate._revalidate(task)
+        if emask is None:
+            emask = gate.recompute(task)
         else:
             gstats.mask_hits += 1
         if not emask & _BIT_OPEN:
@@ -347,6 +346,7 @@ class SyscallMixin:
                     fdtable._next_fd = fd + 1
                     return fd
                 del fastpath._table[fp_key]
+                fastpath._index.discard(path, fp_key)
                 fstats.stale_evictions += 1
                 fstats.misses += 1
             else:
@@ -463,9 +463,8 @@ class SyscallMixin:
         gate = self.entry_gate
         gstats = gate.stats
         emask = task.entry_mask
-        if (emask is None or task.entry_epoch != task.cred_epoch
-                or task.entry_gen != gate.generation):
-            emask = gate._revalidate(task)
+        if emask is None:
+            emask = gate.recompute(task)
         else:
             gstats.mask_hits += 1
         if not emask & _BIT_CLOSE:
@@ -494,9 +493,8 @@ class SyscallMixin:
         gate = self.entry_gate
         gstats = gate.stats
         emask = task.entry_mask
-        if (emask is None or task.entry_epoch != task.cred_epoch
-                or task.entry_gen != gate.generation):
-            emask = gate._revalidate(task)
+        if emask is None:
+            emask = gate.recompute(task)
         else:
             gstats.mask_hits += 1
         if not emask & _BIT_STAT:
@@ -527,6 +525,7 @@ class SyscallMixin:
             else:
                 if hit is not None:
                     del fastpath._table[fp_key]
+                    fastpath._index.discard(path, fp_key)
                     fstats.stale_evictions += 1
                 fstats.misses += 1
                 # The oracle in verdict form: one cached walk plus the
@@ -602,8 +601,8 @@ class SyscallMixin:
         # Permission bits changed: every cached decision about this
         # object (and, for a directory, every walk through it) is
         # stale; the generation bump orphans the dcache permission
-        # entries, the object invalidation (forwarded to the dcache)
-        # drops the path entries.
+        # entries, the object invalidation (fanned out to the dcache
+        # through the hub) drops the path entries.
         self.security_server.invalidate_object(path)
 
     def sys_chown(self, task: Task, path: str, uid: int, gid: int = -1) -> None:

@@ -12,6 +12,7 @@ import dataclasses
 from typing import Any, Dict, List, Optional
 
 from repro.kernel.cred import Credentials
+from repro.kernel.entry import ALL_MASK
 from repro.kernel.fdtable import FDTable
 
 
@@ -69,11 +70,9 @@ class Task:
         # hub at creation so no two subjects ever share an epoch.
         self.cred_epoch: int = 0
         # Syscall-entry gate state (repro.kernel.entry): the cached
-        # permitted-syscall bitmask plus the epoch/generation pair it
-        # was computed under, and the optional per-task confinement set.
-        self.entry_mask: Optional[int] = None
-        self.entry_epoch: int = -1
-        self.entry_gen: int = -1
+        # permitted-syscall bitmask (None = recompute on next entry)
+        # and the optional per-task confinement set.
+        self.entry_mask: Optional[int] = ALL_MASK
         self.entry_allowed: Optional[frozenset] = None
         # Fused fast-path subject id (repro.kernel.fastpath): the
         # interned integer standing for (cred_epoch, cred, exe_path)
@@ -95,9 +94,6 @@ class Task:
         self.stdout: List[str] = []
 
     # ------------------------------------------------------------------
-    def is_alive(self) -> bool:
-        return self.exit_status is None
-
     def getsec(self, module: str, key: str, default: Any = None) -> Any:
         return self.security.get(module, {}).get(key, default)
 

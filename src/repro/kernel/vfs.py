@@ -48,11 +48,8 @@ class Filesystem:
         #: Installed by :meth:`VFS.attach`; pseudo-filesystems call it
         #: when they graft files in at runtime (procfs registration
         #: mutates directories without going through the syscall
-        #: layer, so the dcache must be told directly).
+        #: layer, so the path-keyed caches must be told directly).
         self.notify_change = None
-
-    def is_readonly(self) -> bool:
-        return bool(self.flags & modes.MS_RDONLY)
 
     def is_nosuid(self) -> bool:
         return bool(self.flags & modes.MS_NOSUID)
@@ -123,6 +120,9 @@ class VFS:
         self.generations = generations if generations is not None \
             else GenerationHub()
         self.dcache = DentryCache(generations=self.generations)
+        # Path-prefix invalidations reach the dcache the same way they
+        # reach every other path-keyed cache: through the hub.
+        self.generations.subscribe_paths(self.dcache.invalidate_prefix)
         # Longest-prefix trie over the mount table; each node maps a
         # path component to a child node, with the mount itself (if
         # any) stored under the "" key. Rebuilt on attach/detach —
@@ -147,7 +147,7 @@ class VFS:
             raise SyscallError(Errno.EBUSY, mountpoint)
         self.mounts[mountpoint] = Mount(mountpoint, fs, flags, mounter_uid)
         fs.notify_change = (
-            lambda mp=mountpoint: self._notify_path_change(mp))
+            lambda mp=mountpoint: self.generations.invalidate_path(mp))
         self._note_mount_change()
 
     def detach(self, mountpoint: str) -> Mount:
@@ -159,13 +159,6 @@ class VFS:
         mount.fs.notify_change = None
         self._note_mount_change()
         return mount
-
-    def _notify_path_change(self, path: str) -> None:
-        """A pseudo-filesystem grafted files in under *path*: drop the
-        dcache prefix and fan the invalidation out to every path-keyed
-        cache subscribed to the hub (the fused verdict table)."""
-        self.dcache.invalidate_prefix(path)
-        self.generations.invalidate_path(path)
 
     def _note_mount_change(self) -> None:
         """The mount table changed: bump the global mount epoch (which

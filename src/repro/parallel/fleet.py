@@ -14,10 +14,10 @@ whatever the worker count, however the stripes interleaved.
 
 Why rebuilding is sound: shard construction is a pure function of
 ``(config, shard index)`` (pinned by the worker-rebuild equivalence
-test), per-shard scheduling seeds derive from ``(seed, shard index)``,
-and session admission is partition-stable — a worker holding a subset
-of the shards admits exactly the sessions the full fleet would place
-on them. Module-level provisioning memos (password hashes, policy
+test), each shard's round-robin schedule depends only on its own
+sessions, and session admission is partition-stable — a worker holding
+a subset of the shards admits exactly the sessions the full fleet
+would place on them. Module-level provisioning memos (password hashes, policy
 builds) re-warm per worker; they affect construction *cost*, never
 construction *result*.
 

@@ -97,7 +97,14 @@ class PasswdProgram(Program):
         except SyscallError as err:
             self.error(task, f"passwd: {err.errno_value.name}")
             return EXIT_PERM
-        entry = parse_shadow(current)[0]
+        entries = parse_shadow(current)
+        if not entries:
+            # An empty fragment (say, an earlier write interrupted
+            # after its truncating open): fail closed rather than
+            # invent an entry.
+            self.error(task, f"passwd: {fragment_path}: no shadow entry")
+            return EXIT_FAILURE
+        entry = entries[0]
         try:
             new_password = self._read_new_password(task)
         except SyscallError:

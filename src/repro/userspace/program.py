@@ -69,17 +69,6 @@ class Program:
     def error(self, task: Task, message: str) -> None:
         task.stdout.append(message)
 
-    def require_legacy_root(self, task: Task) -> bool:
-        """The hard-coded check legacy setuid binaries perform.
-
-        Returns True when the program must bail out (legacy binary
-        running without effective root). Protego builds remove the
-        check entirely.
-        """
-        if self.protego_mode:
-            return False
-        return task.cred.euid != 0
-
     def vulnerable_point(self, kernel: Kernel, task: Task) -> None:
         """The input-parsing stage where historical CVEs lived."""
         if self.exploit is not None:

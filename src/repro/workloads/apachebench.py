@@ -13,7 +13,7 @@ applications using no privileged functionality.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.core import System
 from repro.core.build import build_pair
@@ -145,11 +145,3 @@ def run_apachebench(concurrency: int, rounds: int = 30,
         higher_is_better=True,
     )
     return time_result, rate_result
-
-
-def run_all_concurrencies(rounds: int = 30, batches: int = 5) -> List[BenchResult]:
-    results: List[BenchResult] = []
-    for concurrency in (25, 50, 100, 200):
-        time_result, rate_result = run_apachebench(concurrency, rounds, batches)
-        results.extend((time_result, rate_result))
-    return results

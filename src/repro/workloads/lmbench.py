@@ -380,9 +380,3 @@ def run_bandwidth(scale: float = 1.0, batches: int = 5) -> BenchResult:
         paper_overhead_percent=paper_oh, higher_is_better=True,
     )
 
-
-def run_lmbench(scale: float = 1.0, batches: int = 5) -> List[BenchResult]:
-    """The full lmbench block of Table 5."""
-    results = [run_test(name, scale, batches) for name in LMBENCH_TESTS]
-    results.append(run_bandwidth(scale, batches))
-    return results

@@ -4,9 +4,6 @@ import pytest
 
 from repro.core.system import SystemMode
 from repro.fleet import (
-    HASH,
-    MOD,
-    RANDOM,
     FleetConfig,
     FleetEngine,
     build_shards,
@@ -26,31 +23,28 @@ def test_smoke_run_completes_every_session():
     assert all(r.sessions > 0 for r in stats.shard_reports)
 
 
-def test_linux_mode_and_random_policy():
+def test_linux_mode():
     stats = run_fleet(FleetConfig(sessions=30, shards=2, seed=3,
-                                  mode=SystemMode.LINUX, policy=RANDOM))
+                                  mode=SystemMode.LINUX))
     assert stats.completed == 30
     assert stats.mode == "linux"
-    assert stats.policy == RANDOM
 
 
-def test_invalid_policy_and_assignment_rejected():
+def test_invalid_schedule_rejected():
     with pytest.raises(ValueError):
-        FleetEngine(FleetConfig(sessions=1, policy="fifo"))
-    with pytest.raises(ValueError):
-        FleetEngine(FleetConfig(sessions=1, assign="rendezvous"))
+        FleetEngine(FleetConfig(sessions=1, schedule="fifo"))
 
 
-@pytest.mark.parametrize("assign", [MOD, HASH])
-def test_tenant_pinned_to_one_shard(assign):
+def test_tenant_pinned_to_one_shard():
     engine = FleetEngine(FleetConfig(sessions=60, shards=4, seed=1,
-                                     assign=assign, tenants=16))
+                                     tenants=16))
     sessions = engine._admit()
     shard_of_tenant = {}
     for session in sessions:
         tenant = session.sid % 16
         shard_of_tenant.setdefault(tenant, session.shard.index)
         assert shard_of_tenant[tenant] == session.shard.index
+        assert session.shard.index == tenant % 4
     # With 16 tenants over 4 shards, every shard hosts someone.
     assert len(set(shard_of_tenant.values())) == 4
 

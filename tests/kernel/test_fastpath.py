@@ -14,7 +14,8 @@ layered caches:
 * fused denials replay the layered errno, context, and audit row;
 * both new fault sites fail closed (a fault slows, never widens);
 * the SFIP-style entry gate rejects out-of-mask syscalls with EPERM
-  before argument processing, for per-task and per-binary masks;
+  before argument processing, and a confinement survives credential
+  commits until it is lifted;
 * /proc/protego/fastpath renders the whole plane, root-only.
 """
 
@@ -287,26 +288,47 @@ class TestEntryGate:
         assert gate.stats.mask_hits == hits_before + 5
         assert gate.stats.mask_recomputes == recomputes_before
 
-    def test_binary_binding_revalidates_cached_masks(self, kernel, root):
+    def test_restrict_and_unrestrict_revalidate_a_cached_mask(self, kernel,
+                                                              root):
         path = _deep_file(kernel, root)
-        kernel.sys_stat(root, path)  # caches root's mask
+        kernel.sys_stat(root, path)  # warm: served from the cached mask
+        assert root.entry_mask == ALL_MASK
         gate = kernel.entry_gate
-        gate.bind_binary(root.exe_path, ["stat", "close", "exit"])
-        kernel.sys_stat(root, path)  # generation bump forces revalidate
+        recomputes_before = gate.stats.mask_recomputes
+        gate.restrict(root, ["stat", "close", "exit"])
+        assert root.entry_mask is None
+        kernel.sys_stat(root, path)  # recomputes the confined mask
+        assert gate.stats.mask_recomputes == recomputes_before + 1
+        assert root.entry_mask == mask_for(["stat", "close", "exit"])
         with pytest.raises(SyscallError) as excinfo:
             kernel.sys_open(root, path)
         assert excinfo.value.errno_value == Errno.EPERM
-        gate.bind_binary(root.exe_path, None)  # unbind
+        gate.unrestrict(root)
+        assert root.entry_mask is None
         fd = kernel.sys_open(root, path)
+        assert gate.stats.mask_recomputes == recomputes_before + 2
+        assert root.entry_mask == ALL_MASK
         kernel.sys_close(root, fd)
 
-    def test_setuid_forces_mask_revalidation(self, kernel):
-        task = kernel.root_task("setuid-shell")
-        kernel.sys_getpid(task)  # caches the mask for the old epoch
-        recomputes_before = kernel.entry_gate.stats.mask_recomputes
+    def test_restriction_survives_setuid_and_execve(self, kernel, root):
+        # Confinement is per task, not per identity: credential
+        # commits keep the cached mask; only unrestrict lifts it.
+        kernel.write_file(root, "/bin/tool", b"")
+        kernel.sys_chmod(root, "/bin/tool", 0o755)
+        task = kernel.root_task("confined")
+        gate = kernel.entry_gate
+        gate.restrict(task, ["getpid", "setuid", "execve"])
+        kernel.sys_getpid(task)  # computes and caches the confined mask
+        recomputes_before = gate.stats.mask_recomputes
         kernel.sys_setuid(task, 1000)
-        kernel.sys_getpid(task)
-        assert kernel.entry_gate.stats.mask_recomputes > recomputes_before
+        kernel.sys_execve(task, "/bin/tool")
+        assert task.cred.euid == 1000 and task.exe_path == "/bin/tool"
+        assert gate.stats.mask_recomputes == recomputes_before
+        with pytest.raises(SyscallError) as excinfo:
+            kernel.sys_stat(task, "/bin/tool")
+        assert excinfo.value.errno_value == Errno.EPERM
+        gate.unrestrict(task)
+        assert kernel.sys_stat(task, "/bin/tool").ino > 0
 
     def test_mask_helpers_round_trip(self):
         mask = mask_for(["open", "close", "route_del"])
@@ -360,19 +382,6 @@ class TestVerdictForms:
             kernel.vfs.lookup_verdict("/nope", root.cred)
         assert inode is None and errno == Errno.ENOENT
         assert cacheable and mount_gen == kernel.generations.mount
-
-    def test_check_verdict_carries_the_dependency_pair(self, kernel, root):
-        path = _deep_file(kernel, root)
-        kernel.fastpath.enabled = False
-        from repro.kernel.security.access import AccessRequest
-        decision, (fastpath_ok, generation) = \
-            kernel.security_server.check_verdict(AccessRequest(
-                hook="inode_permission", task=root, obj=path,
-                mask=modes.R_OK, args=(path, None, modes.R_OK),
-                dac=lambda: kernel.vfs.lookup(path, root.cred, modes.R_OK),
-            ))
-        assert decision.allowed and fastpath_ok
-        assert generation == kernel.generations.generation
 
 
 # ======================================================================

@@ -53,13 +53,6 @@ class TestParallelMatchesSerial:
         assert parallel.op_latency == serial.op_latency
         assert parallel.session_mean == serial.session_mean
 
-    def test_random_policy_and_hash_assign(self):
-        config = FleetConfig(sessions=150, shards=3, seed=5,
-                             policy="random", assign="hash",
-                             record_schedule=True, schedule=PER_SHARD)
-        assert run_fleet_parallel(config, workers=3).comparable() == \
-            serial_comparable(config)
-
     def test_more_workers_than_shards(self):
         config = FleetConfig(sessions=80, shards=2, seed=3,
                              record_schedule=True, schedule=PER_SHARD)

@@ -11,7 +11,10 @@ over a thousand seeded rounds per run.
 
 Any missed invalidation edge — a mutation the composed generation or
 the prefix fan-out fails to cover — surfaces here as a divergence with
-the seed, round, task, and path in the failure message.
+the seed, round, task, and path in the failure message. After every
+round the table's reverse path index must also name only keys the
+table still holds: an eviction that skips the index leaves a dangling
+key behind.
 """
 
 import random
@@ -50,6 +53,13 @@ def _oracle(kernel, fn):
         fastpath.enabled = True
         server.cache_enabled = server_saved
         dcache.enabled = dcache_saved
+
+
+def _dangling_index_keys(fastpath):
+    """Keys the fused table's reverse index holds for entries the table
+    no longer has."""
+    return sorted(key for group in fastpath._index._keys.values()
+                  for key in group if key not in fastpath._table)
 
 
 def _build_world(kernel, root):
@@ -143,6 +153,7 @@ def test_fused_verdicts_match_the_layered_oracle(seed):
         return _outcome(probe), _oracle(kernel, probe)
 
     divergences = []
+    index_drift = None
     for round_no in range(ROUNDS):
         if rng.random() < MUTATION_RATE:
             mutate()
@@ -153,8 +164,12 @@ def test_fused_verdicts_match_the_layered_oracle(seed):
             divergences.append(
                 f"seed={seed} round={round_no} task={task_name} "
                 f"path={path}: fused={fused} oracle={oracle}")
+        dangling = _dangling_index_keys(kernel.fastpath)
+        if dangling and index_drift is None:
+            index_drift = f"seed={seed} round={round_no}: {dangling}"
 
     assert not divergences, "\n".join(divergences[:20])
+    assert index_drift is None, index_drift
     # The run must actually have exercised the fused plane.
     assert kernel.fastpath.stats.hits > 0
     assert kernel.fastpath.stats.insertions > 0

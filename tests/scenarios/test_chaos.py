@@ -10,7 +10,8 @@ the acceptance sweep runs hundreds of points through the same code).
 
 import os
 
-from repro.core.system import SystemMode
+from repro.core.recency import stamp_authentication
+from repro.core.system import System, SystemMode
 from repro.fleet.shard import FLEET_PROC_PATH, build_shards
 from repro.kernel.fault import CATALOG
 from repro.scenarios.chaos import (
@@ -109,3 +110,27 @@ def test_root_delegable_matches_the_sudoers():
     by_name = {u.name: u for u in spec.users}
     assert _root_delegable(spec, by_name["eli"])
     assert not _root_delegable(spec, by_name["judy"])
+
+
+def test_interrupted_shadow_rewrite_fails_passwd_closed():
+    # Seed 109, scenario 1, schedule 3 arms syscall.entry at p=0.05: a
+    # passwd write after its truncating open fails with EINTR and
+    # leaves the user's shadow fragment empty. The next passwd on it
+    # must fail closed instead of crashing the fleet day.
+    point = run_chaos_point(109, 1, 3)
+    assert point["violations"] == ()
+    assert point["scoreboard"]["hard_failures"] > 0
+
+
+def test_passwd_refuses_an_empty_shadow_fragment():
+    system = System(SystemMode.PROTEGO)
+    kernel = system.kernel
+    kernel.write_file(system.root_session(), "/etc/shadows/alice", b"",
+                      create=False)
+    alice = system.session_for("alice")
+    stamp_authentication(alice, kernel.now())
+    status, out = system.run(alice, "/usr/bin/passwd", ["passwd"],
+                             feed=["new-secret"])
+    assert status != 0
+    assert out == ["passwd: /etc/shadows/alice: no shadow entry"]
+    assert kernel.read_file(kernel.init, "/etc/shadows/alice") == b""
