@@ -10,12 +10,14 @@ files synchronized for backward compatibility.
 The :class:`UserDatabase` is the single reader/writer used by the
 kernel-side policies (name resolution), the utilities, and the
 daemon. Reads and writes go through the simulated syscall layer, so
-DAC and LSM policy apply to them like to everything else.
+DAC and LSM policy apply to them like to everything else. Only the
+boot image (:class:`repro.core.system.System`) lays the databases and
+their :func:`fragment_layout` directly, as a disk image would hold them.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.config.passwd_db import (
     GroupEntry,
@@ -38,6 +40,13 @@ GROUP_FILE = "/etc/group"
 PASSWD_FRAGMENT_DIR = "/etc/passwds"
 SHADOW_FRAGMENT_DIR = "/etc/shadows"
 GROUP_FRAGMENT_DIR = "/etc/groups"
+#: The fragment directories: root-owned 0755, so users cannot create
+#: accounts.
+FRAGMENT_DIRS = (PASSWD_FRAGMENT_DIR, SHADOW_FRAGMENT_DIR, GROUP_FRAGMENT_DIR)
+#: Modes of the legacy whole-file databases (always root:root).
+PASSWD_MODE = 0o644
+SHADOW_MODE = 0o640
+GROUP_MODE = 0o644
 
 
 #: Parse results memoized on the exact file bytes. Resolution paths
@@ -49,6 +58,37 @@ GROUP_FRAGMENT_DIR = "/etc/groups"
 #: (fleet shards): identical bytes parse identically everywhere.
 _PARSE_MEMO: dict = {}
 _PARSE_MEMO_MAX = 512
+
+
+def fragment_layout(passwd: List[PasswdEntry], shadow: List[ShadowEntry],
+                    groups: List[GroupEntry]) -> List[Tuple[str, int, int, int, bytes]]:
+    """The Protego fragment files for one set of account databases:
+    ``(path, uid, gid, mode, payload)`` per account and group.
+
+    Layout per the paper: passwd and shadow fragments are owned by the
+    account they define with mode 0600. A group fragment is 0644 and
+    owned by the group's administrator (by convention the first
+    member), so gpasswd-style membership edits become plain DAC
+    writes; other groups stay root-owned. Pure, so the boot image and
+    the daemon's runtime re-fragmentation lay out the same files.
+    """
+    uids: dict = {}
+    for user in passwd:
+        uids.setdefault(user.name, user.uid)
+    shadow_by_name = {entry.name: entry for entry in shadow}
+    layout = []
+    for user in passwd:
+        layout.append((f"{PASSWD_FRAGMENT_DIR}/{user.name}", user.uid,
+                       user.gid, 0o600, format_passwd([user]).encode()))
+        entry = shadow_by_name.get(user.name)
+        if entry is not None:
+            layout.append((f"{SHADOW_FRAGMENT_DIR}/{user.name}", user.uid,
+                           user.gid, 0o600, format_shadow([entry]).encode()))
+    for group in groups:
+        admin_uid = uids.get(group.members[0], 0) if group.members else 0
+        layout.append((f"{GROUP_FRAGMENT_DIR}/{group.name}", admin_uid,
+                       group.gid, 0o644, format_group([group]).encode()))
+    return layout
 
 
 class UserDatabase:
@@ -110,18 +150,18 @@ class UserDatabase:
 
     def write_passwd(self, entries: List[PasswdEntry], task: Optional[Task] = None) -> None:
         """Rewrite the legacy file *as the given task* (DAC applies);
-        the kernel's init context is used only for provisioning and
-        the trusted daemon."""
+        the kernel's init context is used only for root-run edits such
+        as the trusted daemon's."""
         writer = task or self._root()
-        self._replace(writer, PASSWD_FILE, format_passwd(entries).encode(), 0o644)
+        self._replace(writer, PASSWD_FILE, format_passwd(entries).encode(), PASSWD_MODE)
 
     def write_shadow(self, entries: List[ShadowEntry], task: Optional[Task] = None) -> None:
         writer = task or self._root()
-        self._replace(writer, SHADOW_FILE, format_shadow(entries).encode(), 0o640)
+        self._replace(writer, SHADOW_FILE, format_shadow(entries).encode(), SHADOW_MODE)
 
     def write_group(self, entries: List[GroupEntry], task: Optional[Task] = None) -> None:
         writer = task or self._root()
-        self._replace(writer, GROUP_FILE, format_group(entries).encode(), 0o644)
+        self._replace(writer, GROUP_FILE, format_group(entries).encode(), GROUP_MODE)
 
     # ------------------------------------------------------------------
     # Resolution
@@ -186,51 +226,23 @@ class UserDatabase:
     # Fragmentation (the Protego layout)
     # ------------------------------------------------------------------
     def fragment_databases(self) -> None:
-        """Split the legacy files into per-account fragments.
-
-        Layout per the paper: fragment files are owned by the account
-        they define with mode 0600; the directories are root-owned
-        0755 so users cannot create accounts.
-        """
+        """Split the legacy files into per-account fragments (the
+        daemon's re-fragmentation after a root edit of /etc/passwd),
+        laid out by :func:`fragment_layout`. Each fragment is written
+        as a temp file, given its owner and mode, then renamed into
+        place, so no reader sees a half-written or wrongly-owned one."""
         root = self._root()
-        for directory in (PASSWD_FRAGMENT_DIR, SHADOW_FRAGMENT_DIR, GROUP_FRAGMENT_DIR):
+        for directory in FRAGMENT_DIRS:
             if not self.kernel.vfs.exists(directory):
                 self.kernel.sys_mkdir(root, directory, 0o755)
-        shadow_by_name = {entry.name: entry for entry in self.shadow_entries()}
-        for user in self.passwd_entries():
-            self._write_fragment(
-                f"{PASSWD_FRAGMENT_DIR}/{user.name}",
-                format_passwd([user]).encode(), user.uid, user.gid,
-            )
-            shadow = shadow_by_name.get(user.name)
-            if shadow is not None:
-                self._write_fragment(
-                    f"{SHADOW_FRAGMENT_DIR}/{user.name}",
-                    format_shadow([shadow]).encode(), user.uid, user.gid,
-                )
-        for group in self.group_entries():
-            # The group fragment is owned by the group's administrator
-            # (by convention the first member), so gpasswd-style
-            # membership edits become plain DAC writes; other groups
-            # stay root-owned.
-            admin_uid = 0
-            if group.members:
-                admin = self.lookup_user(group.members[0])
-                if admin is not None:
-                    admin_uid = admin.uid
-            self._write_fragment(
-                f"{GROUP_FRAGMENT_DIR}/{group.name}",
-                format_group([group]).encode(), admin_uid, group.gid, mode=0o644,
-            )
-
-    def _write_fragment(self, path: str, payload: bytes, uid: int, gid: int,
-                        mode: int = 0o600) -> None:
-        root = self._root()
-        tmp = f"{path}.tmp"
-        self.kernel.write_file(root, tmp, payload)
-        self.kernel.sys_chown(root, tmp, uid, gid)
-        self.kernel.sys_chmod(root, tmp, mode)
-        self.kernel.sys_rename(root, tmp, path)
+        layout = fragment_layout(self.passwd_entries(), self.shadow_entries(),
+                                 self.group_entries())
+        for path, uid, gid, mode, payload in layout:
+            tmp = f"{path}.tmp"
+            self.kernel.write_file(root, tmp, payload)
+            self.kernel.sys_chown(root, tmp, uid, gid)
+            self.kernel.sys_chmod(root, tmp, mode)
+            self.kernel.sys_rename(root, tmp, path)
 
     # ---- fragment access, on behalf of a task --------------------------
     def read_own_passwd_fragment(self, task: Task, username: str) -> PasswdEntry:

@@ -39,8 +39,25 @@ from typing import Dict, List, Optional, Tuple
 from repro.auth.passwords import hash_password
 from repro.auth.service import AuthenticationService
 from repro.apparmor.module import AppArmorLSM
-from repro.config.passwd_db import GroupEntry, PasswdEntry, ShadowEntry
-from repro.core.authdb import UserDatabase
+from repro.config.passwd_db import (
+    GroupEntry,
+    PasswdEntry,
+    ShadowEntry,
+    format_group,
+    format_passwd,
+    format_shadow,
+)
+from repro.core.authdb import (
+    FRAGMENT_DIRS,
+    GROUP_FILE,
+    GROUP_MODE,
+    PASSWD_FILE,
+    PASSWD_MODE,
+    SHADOW_FILE,
+    SHADOW_MODE,
+    UserDatabase,
+    fragment_layout,
+)
 from repro.core.procfiles import (
     register_dmcrypt_sys_files,
     register_fault_proc_files,
@@ -57,7 +74,12 @@ from repro.kernel.devices import (
     TTY,
     VideoDevice,
 )
-from repro.kernel.inode import make_block_device, make_char_device
+from repro.kernel.inode import (
+    make_block_device,
+    make_char_device,
+    make_dir,
+    make_file,
+)
 from repro.kernel.kernel import Kernel
 from repro.kernel.net.routing import Route
 from repro.kernel.net.stack import RemoteHost
@@ -260,8 +282,22 @@ class System:
             self._enable_protego(start_daemon)
 
     # ==================================================================
-    # Provisioning
+    # Provisioning: the boot image
     # ==================================================================
+    # The root filesystem comes up as an image: every node is laid with
+    # its final mode, owner and bytes through Kernel.lay, which
+    # invalidates the path like the namespace syscalls do. Nothing here
+    # runs as a task, so booting leaves the clock and the audit ring
+    # untouched; what models runtime (LSM and policy loads, the
+    # daemon's sync) goes through the syscall layer.
+    def _lay_file(self, path: str, payload: bytes, perm: int = 0o644,
+                  uid: int = 0, gid: int = 0) -> None:
+        self.kernel.lay(path, make_file(payload, uid=uid, gid=gid, perm=perm))
+
+    def _lay_dir(self, path: str, perm: int = 0o755, uid: int = 0,
+                 gid: int = 0) -> None:
+        self.kernel.lay(path, make_dir(uid=uid, gid=gid, perm=perm))
+
     def _provision_accounts(self, group_passwords: Dict[str, str]) -> None:
         root_entry = PasswdEntry("root", 0, 0, "root", "/root", "/bin/bash")
         passwd = [root_entry]
@@ -288,50 +324,59 @@ class System:
                 groups[group_name].members.append(spec.name)
             home = spec.home
             if not self.kernel.vfs.exists(home):
-                init = self.kernel.init
-                self.kernel.sys_mkdir(init, home, 0o755)
+                self._lay_dir(home, 0o700, spec.uid, spec.gid)
                 for sub in (".Private", "Private"):
-                    self.kernel.sys_mkdir(init, f"{home}/{sub}", 0o755)
-                    self.kernel.sys_chown(init, f"{home}/{sub}", spec.uid, spec.gid)
-                self.kernel.sys_chown(init, home, spec.uid, spec.gid)
-                self.kernel.sys_chmod(init, home, 0o700)
-        self.userdb.write_passwd(passwd)
-        self.userdb.write_shadow(shadow)
-        self.userdb.write_group(list(groups.values()))
+                    self._lay_dir(f"{home}/{sub}", 0o755, spec.uid, spec.gid)
+        group_list = list(groups.values())
+        self._lay_file(PASSWD_FILE, format_passwd(passwd).encode(), PASSWD_MODE)
+        self._lay_file(SHADOW_FILE, format_shadow(shadow).encode(), SHADOW_MODE)
+        self._lay_file(GROUP_FILE, format_group(group_list).encode(), GROUP_MODE)
+        if self.mode is SystemMode.PROTEGO:
+            # The fragmented credential databases (section 4.4).
+            for directory in FRAGMENT_DIRS:
+                self._lay_dir(directory)
+            for path, uid, gid, mode, payload in fragment_layout(
+                    passwd, shadow, group_list):
+                self._lay_file(path, payload, mode, uid, gid)
 
     def _provision_config(self, fstab: str, sudoers: str, bind_conf: str,
                           ppp_options: str) -> None:
-        init = self.kernel.init
-        self.kernel.write_file(init, "/etc/fstab", fstab.encode())
-        self.kernel.write_file(init, "/etc/sudoers", sudoers.encode())
-        self.kernel.sys_chmod(init, "/etc/sudoers", 0o440)
-        self.kernel.sys_mkdir(init, "/etc/sudoers.d", 0o755)
-        self.kernel.write_file(init, "/etc/bind", bind_conf.encode())
-        self.kernel.sys_mkdir(init, "/etc/ppp", 0o755)
-        self.kernel.write_file(init, "/etc/ppp/options", ppp_options.encode())
-        self.kernel.write_file(init, "/etc/shells", DEFAULT_SHELLS.encode())
-        self.kernel.sys_mkdir(init, "/etc/polkit-1", 0o755)
-        self.kernel.write_file(init, "/etc/polkit-1/rules",
-                               DEFAULT_POLKIT_RULES.encode())
-        self.kernel.sys_mkdir(init, "/etc/dbus-1", 0o755)
-        self.kernel.write_file(init, "/etc/dbus-1/system-services",
-                               DEFAULT_DBUS_SERVICES.encode())
-        self.kernel.sys_mkdir(init, "/etc/cups", 0o755)
-        self.kernel.write_file(init, "/etc/cups/passwd.md5", b"")
-        self.kernel.sys_chmod(init, "/etc/cups/passwd.md5", 0o600)
-        self.kernel.sys_mkdir(init, "/etc/ssh", 0o755)
-        self.kernel.write_file(init, HOST_KEY_PATH, b"HOSTKEY-SECRET-MATERIAL")
-        self.kernel.sys_chmod(init, HOST_KEY_PATH, 0o600)
-        self.kernel.sys_mkdir(init, "/var/run", 0o755)
-        self.kernel.sys_mkdir(init, "/var/mail", 0o2775)
-        self.kernel.sys_chown(init, "/var/mail", 0, 8)  # root:mail
-        self.kernel.sys_mkdir(init, "/var/log", 0o755)
-        self.kernel.sys_mkdir(init, "/var/spool", 0o755)
-        self.kernel.sys_mkdir(init, "/var/spool/lpd", 0o1777)
+        protego = self.mode is SystemMode.PROTEGO
+        self._lay_file("/etc/fstab", fstab.encode())
+        self._lay_file("/etc/sudoers", sudoers.encode(), 0o440)
+        self._lay_dir("/etc/sudoers.d")
+        if protego:
+            self._lay_file("/etc/sudoers.d/protego-su", PROTEGO_SU_DROPIN.encode())
+        self._lay_file("/etc/bind", bind_conf.encode())
+        self._lay_dir("/etc/ppp")
+        self._lay_file("/etc/ppp/options", ppp_options.encode())
+        self._lay_file("/etc/shells", DEFAULT_SHELLS.encode())
+        self._lay_dir("/etc/polkit-1")
+        self._lay_file("/etc/polkit-1/rules", DEFAULT_POLKIT_RULES.encode())
+        self._lay_dir("/etc/dbus-1")
+        self._lay_file("/etc/dbus-1/system-services", DEFAULT_DBUS_SERVICES.encode())
+        self._lay_dir("/etc/cups")
+        self._lay_file(LppasswdProgram.LEGACY_DB, b"", 0o600)
+        if protego:
+            # CUPS printing passwords fragment like the account
+            # databases (Table 4's credential-database row covers
+            # lppasswd too).
+            self._lay_dir(LppasswdProgram.FRAGMENT_DIR)
+            for spec in self.users:
+                self._lay_file(f"{LppasswdProgram.FRAGMENT_DIR}/{spec.name}",
+                               b"", 0o600, spec.uid, spec.gid)
+        self._lay_dir("/etc/ssh")
+        # Protego relaxes the host key's DAC in favour of the binary
+        # ACL that _enable_protego installs.
+        self._lay_file(HOST_KEY_PATH, b"HOSTKEY-SECRET-MATERIAL",
+                       0o644 if protego else 0o600)
+        self._lay_dir("/var/run")
+        self._lay_dir("/var/mail", 0o2775, gid=8)  # root:mail
+        self._lay_dir("/var/log")
+        self._lay_dir("/var/spool")
+        self._lay_dir("/var/spool/lpd", 0o1777)
 
     def _provision_devices(self) -> None:
-        init = self.kernel.init
-        dev_dir = self.kernel.vfs.resolve("/dev")
         registry = self.kernel.devices
 
         sda1 = registry.register(BlockDevice("sda1", fstype="ext4"))
@@ -345,20 +390,20 @@ class System:
         ppp = registry.register(PPPDevice())
         card = registry.register(VideoDevice("card0", kms=True))
 
-        dev_dir.entries["sda1"] = make_block_device(sda1, perm=0o660)
-        dev_dir.entries["cdrom"] = make_block_device(cdrom, perm=0o660)
-        dev_dir.entries["usb0"] = make_block_device(usb, perm=0o660)
-        dev_dir.entries["dm-0"] = make_block_device(dm0, perm=0o660)
-        dev_dir.entries["ttyS0"] = make_char_device(modem, perm=0o660)
+        lay = self.kernel.lay
+        lay("/dev/sda1", make_block_device(sda1, perm=0o660))
+        lay("/dev/cdrom", make_block_device(cdrom, perm=0o660))
+        lay("/dev/usb0", make_block_device(usb, perm=0o660))
+        lay("/dev/dm-0", make_block_device(dm0, perm=0o660))
+        lay("/dev/ttyS0", make_char_device(modem, perm=0o660))
         # The Protego change: permissive /dev/ppp file permissions
         # replace a capability check (section 4.1.2).
         ppp_perm = 0o666 if self.mode is SystemMode.PROTEGO else 0o600
-        dev_dir.entries["ppp"] = make_char_device(ppp, perm=ppp_perm)
-        dev_dir.entries["card0"] = make_char_device(card, perm=0o666)
+        lay("/dev/ppp", make_char_device(ppp, perm=ppp_perm))
+        lay("/dev/card0", make_char_device(card, perm=0o666))
 
-        self.kernel.sys_mkdir(init, "/media/usb", 0o755)
-        self.kernel.sys_mkdir(init, "/mnt/nfs", 0o755)
-        self.kernel.sys_mkdir(init, "/mnt/cifs", 0o755)
+        for mountpoint in ("/media/usb", "/mnt/nfs", "/mnt/cifs"):
+            self._lay_dir(mountpoint)
 
     def _provision_network(self) -> None:
         self.kernel.net.add_interface("eth0", "192.168.1.10")
@@ -390,24 +435,9 @@ class System:
         register_dmcrypt_sys_files(self.kernel)
         self.auth_service = AuthenticationService(self.userdb)
         self.protego.authenticator = self.auth_service
-        # Fragment the credential databases and relax the host key's
-        # DAC in favour of the binary ACL.
-        self.userdb.fragment_databases()
-        # CUPS printing passwords fragment the same way (Table 4's
-        # credential-database row covers lppasswd too).
-        init = self.kernel.init
-        from repro.userspace.extras import LppasswdProgram
-        self.kernel.sys_mkdir(init, LppasswdProgram.FRAGMENT_DIR, 0o755)
-        for spec in self.users:
-            frag = f"{LppasswdProgram.FRAGMENT_DIR}/{spec.name}"
-            self.kernel.write_file(init, frag, b"")
-            self.kernel.sys_chown(init, frag, spec.uid, spec.gid)
-            self.kernel.sys_chmod(init, frag, 0o600)
-        self.kernel.sys_chmod(self.kernel.init, HOST_KEY_PATH, 0o644)
+        # The image relaxed the host key's DAC; the binary ACL guards
+        # it instead.
         self.protego.protect_binary(HOST_KEY_PATH, (SshKeysignProgram.default_path,))
-        # The su explication drop-in, then the daemon's initial sync.
-        self.kernel.write_file(self.kernel.init, "/etc/sudoers.d/protego-su",
-                               PROTEGO_SU_DROPIN.encode())
         # The daemon runs under a supervisor: a crash (fault-injected
         # or otherwise) triggers a backed-off restart whose fresh
         # incarnation re-registers every watch and resyncs every

@@ -5,6 +5,11 @@ simulator has no event loop, so the watcher exposes an explicit
 ``poll()`` that fires callbacks for every watched path whose content
 changed since the last poll. Watching a directory fires on any
 created, removed, or modified entry.
+
+Like kernel inotify, the watcher sees the VFS from inside the kernel:
+it hashes inode bytes and lists directory entries directly, so a poll
+issues no syscall, ticks no clock and leaves no audit row. Events stay
+content-based: one fires exactly when a watched file's bytes change.
 """
 
 from __future__ import annotations
@@ -99,14 +104,21 @@ class FileWatcher:
 
     # ------------------------------------------------------------------
     def _fingerprint(self, path: str) -> Optional[str]:
+        """The sha256 of *path*'s bytes, read from the inode itself:
+        kernel inotify is told of changes by the VFS, so the watcher
+        never re-reads through the syscall layer. Directories and
+        missing paths have no fingerprint."""
         try:
-            data = self.kernel.read_file(self.kernel.init, path)
+            inode = self.kernel.vfs.resolve(path)
         except SyscallError:
             return None
-        return hashlib.sha256(data).hexdigest()
+        if inode.is_dir():
+            return None
+        return hashlib.sha256(inode.read_bytes()).hexdigest()
 
     def _listdir(self, path: str) -> List[str]:
         try:
-            return self.kernel.sys_readdir(self.kernel.init, path)
+            inode = self.kernel.vfs.resolve(path)
         except SyscallError:
             return []
+        return sorted(inode.entries) if inode.is_dir() else []

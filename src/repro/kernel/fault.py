@@ -94,9 +94,11 @@ class FaultSite:
     """
 
     __slots__ = ("name", "armed", "probability", "times", "space",
-                 "only", "errnos", "seed", "calls", "injected", "_rng")
+                 "only", "errnos", "seed", "calls", "injected", "_rng",
+                 "_tally")
 
-    def __init__(self, name: str, seed: int = 0):
+    def __init__(self, name: str, seed: int = 0,
+                 tally: Optional[List[int]] = None):
         self.name = name
         self.armed = False
         self.probability = 1.0
@@ -108,6 +110,10 @@ class FaultSite:
         self.calls = 0
         self.injected = 0
         self._rng = random.Random(f"{seed}:{name}")
+        #: One-slot injection counter shared by every site of one
+        #: injector (see :meth:`FaultInjector.injected_total`); a
+        #: standalone site counts alone. Never reset.
+        self._tally = tally if tally is not None else [0]
 
     # ------------------------------------------------------------------
     def configure(
@@ -176,6 +182,7 @@ class FaultSite:
             if self.times == 0:
                 self.armed = False
         self.injected += 1
+        self._tally[0] += 1
         return True
 
     def pick_errno(self) -> Errno:
@@ -211,15 +218,16 @@ class FaultInjector:
     def __init__(self, seed: int = 0):
         self.seed = seed
         self._sites: Dict[str, FaultSite] = {}
+        self._tally = [0]
         for name in CATALOG:
-            self._sites[name] = FaultSite(name, seed)
+            self._sites[name] = FaultSite(name, seed, self._tally)
 
     # ------------------------------------------------------------------
     def site(self, name: str) -> FaultSite:
         """The site registered under *name*, created on first use."""
         site = self._sites.get(name)
         if site is None:
-            site = self._sites[name] = FaultSite(name, self.seed)
+            site = self._sites[name] = FaultSite(name, self.seed, self._tally)
         return site
 
     def sites(self) -> List[FaultSite]:
@@ -245,9 +253,11 @@ class FaultInjector:
         return any(site.armed for site in self._sites.values())
 
     def injected_total(self) -> int:
-        """Injections across every site — the degradation scoreboard
-        diffs this around a step to attribute a fault to an op."""
-        return sum(site.injected for site in self._sites.values())
+        """Injections since the injector was built, across every site
+        — the degradation scoreboard diffs this around a step to
+        attribute a fault to an op. O(1): the sites bump one shared
+        counter, which a site reset does not roll back."""
+        return self._tally[0]
 
     # ------------------------------------------------------------------
     @contextlib.contextmanager

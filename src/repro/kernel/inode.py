@@ -48,8 +48,9 @@ class Inode:
         self.read_fn = read_fn
         self.write_fn = write_fn
         self.entries: Dict[str, "Inode"] = {} if modes.is_dir(mode) else None
-        # mtime is a logical clock bumped by the kernel on writes; the
-        # inotify-like watch framework compares it to detect changes.
+        # mtime is a logical clock bumped by the kernel on writes and
+        # attribute changes. (The daemon's watcher compares content
+        # hashes, not mtimes.)
         self.mtime = 0
         # File capabilities (the setcap mechanism, paper section 3.1):
         # granted to the process at exec instead of full setuid-root.

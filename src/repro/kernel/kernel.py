@@ -11,11 +11,13 @@ from __future__ import annotations
 import collections
 import dataclasses
 import itertools
+import posixpath
 from typing import Deque, Dict, List, Optional
 
 from repro.kernel.cred import Credentials
 from repro.kernel.devices import DeviceRegistry
 from repro.kernel.entry import EntryGate
+from repro.kernel.errno import Errno, SyscallError
 from repro.kernel.fastpath import FastPathTable
 from repro.kernel.fault import (
     SITE_AUDIT_APPEND,
@@ -31,14 +33,14 @@ from repro.kernel.fault import (
     FaultInjector,
 )
 from repro.kernel.generations import GenerationHub
-from repro.kernel.inode import make_dir
+from repro.kernel.inode import Inode, make_dir
 from repro.kernel.lsm import LSMChain, SecurityModule
 from repro.kernel.net.stack import NetworkStack
 from repro.kernel.procfs import PseudoFilesystem, make_procfs, make_sysfs
 from repro.kernel.security import SecurityServer
 from repro.kernel.syscalls import SyscallMixin
 from repro.kernel.task import Task
-from repro.kernel.vfs import VFS
+from repro.kernel.vfs import VFS, normalize
 
 
 @dataclasses.dataclass
@@ -142,6 +144,28 @@ class Kernel(SyscallMixin):
 
     def _next_pid(self) -> int:
         return next(self._pids)
+
+    def lay(self, path: str, inode: Inode) -> None:
+        """Link *inode* at *path* as part of the machine's filesystem
+        image, replacing whatever node the name held. Missing parent
+        directories are laid first, root-owned 0755 (``mkdir -p``).
+
+        This is how a root filesystem comes off a disk image: nodes
+        carry their final mode, owner and bytes, no task creates them
+        and no policy is asked. Each laid path is invalidated exactly
+        as a namespace syscall would, so no cached walk, decision or
+        fused verdict about it survives.
+        """
+        path = normalize(path)
+        try:
+            parent, leaf = self.vfs.resolve_parent(path)
+        except SyscallError as exc:
+            if exc.errno_value is not Errno.ENOENT:
+                raise
+            self.lay(posixpath.dirname(path), make_dir())
+            parent, leaf = self.vfs.resolve_parent(path)
+        parent.entries[leaf] = inode
+        self.security_server.invalidate_object(path)
 
     # ------------------------------------------------------------------
     def tick(self, n: int = 1) -> int:

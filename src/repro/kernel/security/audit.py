@@ -35,25 +35,21 @@ class AuditEntry:
     errno: str = ""
     context: str = ""
 
-    def render(self) -> str:
-        line = (
-            f"seq={self.seq} clock={self.clock} pid={self.pid} "
-            f"uid={self.uid} euid={self.euid} hook={self.hook} "
-            f"obj={self.obj} mask={self.mask} verdict={self.verdict} "
-            f"layer={self.layer} cached={int(self.cached)}"
-        )
-        if self.errno:
-            line += f" errno={self.errno}"
-        return line
+
+#: One /proc/protego/audit line, from a stored row's first eleven
+#: fields (seq through cached); a non-empty errno is appended.
+_ROW_FORMAT = ("seq=%s clock=%s pid=%s uid=%s euid=%s hook=%s obj=%s "
+               "mask=%s verdict=%s layer=%s cached=%d")
 
 
 class AuditRing:
     """A bounded in-kernel ring of decision records.
 
     Rows are stored as plain tuples and only materialised into
-    :class:`AuditEntry` objects when read back — recording sits on the
-    decision-cache hit path, so it must cost no more than a tuple and
-    a deque append (the AVC audits out-of-line for the same reason).
+    :class:`AuditEntry` objects when :meth:`entries` reads them back —
+    recording sits on the decision-cache hit path, so it must cost no
+    more than a tuple and a deque append (the AVC audits out-of-line
+    for the same reason). :meth:`render` formats the tuples directly.
     """
 
     #: Index of the verdict field in a seq-less row (see
@@ -118,22 +114,34 @@ class AuditRing:
             self.dropped += 1
         self._ring.append((self._seq, clock, pid, ruid, euid) + suffix)
 
+    def _rows(self, last: Optional[int]) -> List[tuple]:
+        """The most recent *last* stored rows (all when ``None``),
+        oldest first."""
+        rows = list(self._ring)
+        if last is not None and last >= 0:
+            rows = rows[-last:] if last else []
+        return rows
+
     def entries(self, last: Optional[int] = None) -> List[AuditEntry]:
         """The most recent *last* entries (all when ``None``), oldest
         first."""
-        items = list(self._ring)
-        if last is not None and last >= 0:
-            items = items[-last:] if last else []
-        return [AuditEntry(*row) for row in items]
+        return [AuditEntry(*row) for row in self._rows(last)]
 
     def render(self, last: Optional[int] = None) -> str:
         """The /proc representation: a header accounting for every
         record that is *not* below (rotation and injected loss), then
         one line per surviving decision."""
-        header = (f"# capacity={self.capacity} dropped={self.dropped} "
-                  f"lost={self.lost} rescued_denials={self.rescued_denials}")
-        lines = [entry.render() for entry in self.entries(last)]
-        return "\n".join([header] + lines) + "\n"
+        lines = [f"# capacity={self.capacity} dropped={self.dropped} "
+                 f"lost={self.lost} rescued_denials={self.rescued_denials}"]
+        # Formatted straight from the stored tuples: a digest of the
+        # full ring renders 4096 rows, and building an AuditEntry per
+        # row cost more than the formatting.
+        for row in self._rows(last):
+            line = _ROW_FORMAT % row[:11]
+            if row[11]:
+                line += " errno=" + row[11]
+            lines.append(line)
+        return "\n".join(lines) + "\n"
 
     def clear(self) -> None:
         self._ring.clear()

@@ -272,7 +272,10 @@ class SecurityServer:
         out through the generation hub to every path-keyed cache (the
         dentry cache and the fused verdict table), so namespace
         mutations clear stale (including negative) walk entries too."""
-        stale = self._index.collect(obj)
+        # An empty cache has an empty index (evictions and invalidations
+        # drop a key with its entry), so the boot image, which lays
+        # every node before any decision is cached, skips the walk.
+        stale = self._index.collect(obj) if self._cache else ()
         for key in stale:
             self._cache.pop(key, None)
         if stale:

@@ -616,8 +616,11 @@ class SyscallMixin:
                 self.require_capable(task, Capability.CAP_CHOWN, f"chgrp {path}")
         if uid != -1:
             inode.uid = uid
-            # Linux clears setuid on ownership change.
-            inode.mode &= ~(modes.S_ISUID | modes.S_ISGID)
+            # Linux clears the set-id bits on an ownership change, but
+            # only on non-directories (chown_common): a setgid
+            # directory keeps handing its group to new entries.
+            if not inode.is_dir():
+                inode.mode &= ~(modes.S_ISUID | modes.S_ISGID)
         if gid != -1:
             inode.gid = gid
         inode.mtime += 1

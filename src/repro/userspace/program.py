@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from repro.kernel.errno import SyscallError
+from repro.kernel.inode import make_file
 from repro.kernel.kernel import Kernel
 from repro.kernel.task import Task
 
@@ -87,23 +88,16 @@ def install_program(kernel: Kernel, program: Program, path: Optional[str] = None
 
     ``setuid=None`` applies the program's distribution default in
     legacy mode and never sets the bit in Protego mode — the whole
-    point of the paper.
+    point of the paper. The binary (and any missing parent directory)
+    is laid directly (:meth:`Kernel.lay`), as a package unpacked onto
+    the disk image.
     """
     path = path or program.default_path
     if setuid is None:
         setuid = program.legacy_setuid_root and not program.protego_mode
-    root = kernel.init
-    # mkdir -p the parent directories.
-    parts = path.strip("/").split("/")[:-1]
-    walked = ""
-    for part in parts:
-        walked += "/" + part
-        if not kernel.vfs.exists(walked):
-            kernel.sys_mkdir(root, walked, 0o755)
-    kernel.write_file(root, path, b"\x7fELF simulated\n")
     final_mode = mode | (0o4000 if setuid else 0)
-    kernel.sys_chown(root, path, owner_uid, 0)
-    kernel.sys_chmod(root, path, final_mode)
+    kernel.lay(path, make_file(b"\x7fELF simulated\n", uid=owner_uid,
+                               perm=final_mode))
     program.path = path
     kernel.binaries[path] = program
     return program

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.daemon.inotify import FileWatcher
-from repro.kernel import Kernel
+from repro.kernel import Kernel, modes
 
 
 @pytest.fixture
@@ -95,3 +95,55 @@ class TestDirWatch:
         events = watcher.poll()
         kinds = sorted(e.kind for e in events)
         assert kinds == ["created", "modified"]
+
+
+class TestKernelSideFingerprints:
+    """The watcher reads inodes, not files: a poll costs no syscall,
+    yet every byte change still fires exactly one event."""
+
+    @pytest.fixture
+    def watched(self, kernel, watcher):
+        kernel.sys_mkdir(kernel.init, "/d")
+        kernel.write_file(kernel.init, "/d/a", b"1")
+        kernel.write_file(kernel.init, "/etc/fstab", b"x")
+        seen = []
+        watcher.watch_dir("/d", seen.append)
+        watcher.watch_file("/etc/fstab", seen.append)
+        return seen
+
+    def test_unchanged_poll_is_syscall_free(self, kernel, watcher, watched):
+        clock = kernel.clock
+        seq = kernel.security_server.audit.seq
+        for _ in range(3):
+            assert watcher.poll() == []
+        assert kernel.clock == clock
+        assert kernel.security_server.audit.seq == seq
+        assert watched == []
+
+    def test_sys_write_fires_once(self, kernel, watcher, watched):
+        fd = kernel.sys_open(kernel.init, "/d/a", modes.O_WRONLY)
+        kernel.sys_write(kernel.init, fd, b"2")
+        kernel.sys_close(kernel.init, fd)
+        assert [(e.path, e.kind) for e in watcher.poll()] == [("/d/a", "modified")]
+        assert watcher.poll() == []
+
+    def test_rename_over_fires_once(self, kernel, watcher, watched):
+        kernel.write_file(kernel.init, "/etc/fstab.tmp", b"y")
+        kernel.sys_rename(kernel.init, "/etc/fstab.tmp", "/etc/fstab")
+        assert [(e.path, e.kind) for e in watcher.poll()] == [
+            ("/etc/fstab", "modified")]
+        assert watcher.poll() == []
+
+    def test_unlink_fires_once(self, kernel, watcher, watched):
+        kernel.sys_unlink(kernel.init, "/d/a")
+        kernel.sys_unlink(kernel.init, "/etc/fstab")
+        assert sorted((e.path, e.kind) for e in watcher.poll()) == [
+            ("/d/a", "deleted"), ("/etc/fstab", "modified")]
+        assert watcher.poll() == []
+        assert len(watched) == 2
+
+    def test_directories_have_no_fingerprint(self, kernel, watcher):
+        kernel.sys_mkdir(kernel.init, "/d")
+        assert watcher._fingerprint("/d") is None
+        assert watcher._fingerprint("/missing") is None
+        assert watcher._listdir("/missing") == []

@@ -108,6 +108,32 @@ class TestFaultInjector:
         assert [injector.site(SITE_AVC_ALLOC).should_fail()
                 for _ in range(50)] == first
 
+    def test_injected_total_tallies_every_site_and_survives_reset(self):
+        injector = FaultInjector(seed=5)
+        avc, dcache = (injector.site(SITE_AVC_ALLOC),
+                       injector.site(SITE_DCACHE_ALLOC))
+        late = injector.site("late.site")  # registered after boot
+        assert injector.injected_total() == 0
+        injector.configure(SITE_AVC_ALLOC, probability=0.5)
+        injector.configure(SITE_DCACHE_ALLOC, times=3)
+        injector.configure("late.site")
+        for _ in range(20):
+            for site in (avc, dcache, late):
+                if site.armed:
+                    site.should_fail()
+            if late.injected == 4:
+                late.disarm()
+        total = sum(site.injected for site in injector.sites())
+        assert total == avc.injected + 3 + 4
+        assert injector.injected_total() == total
+        avc.reset()
+        injector.control_write(SITE_DCACHE_ALLOC, "reset")
+        assert avc.injected == dcache.injected == 0
+        assert injector.injected_total() == total
+        injector.configure(SITE_AVC_ALLOC, times=1)
+        assert avc.should_fail()
+        assert injector.injected_total() == total + 1
+
     def test_control_write_grammar(self):
         injector = FaultInjector()
         injector.control_write(SITE_SYSCALL_ENTRY,

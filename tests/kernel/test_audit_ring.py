@@ -102,3 +102,39 @@ class TestProcSurface:
         assert int(lines[0].split("dropped=")[1].split()[0]) > 0
         seqs = [int(line.split("seq=")[1].split()[0]) for line in lines[1:]]
         assert all(b == a + 1 for a, b in zip(seqs, seqs[1:]))
+
+
+def entry_render(entry):
+    """The per-entry rendering the ring used before it formatted its
+    stored tuples directly: the oracle for :meth:`AuditRing.render`."""
+    line = (
+        f"seq={entry.seq} clock={entry.clock} pid={entry.pid} "
+        f"uid={entry.uid} euid={entry.euid} hook={entry.hook} "
+        f"obj={entry.obj} mask={entry.mask} verdict={entry.verdict} "
+        f"layer={entry.layer} cached={int(entry.cached)}"
+    )
+    if entry.errno:
+        line += f" errno={entry.errno}"
+    return line
+
+
+class TestRender:
+    def test_render_matches_per_entry_rendering(self):
+        ring = AuditRing(capacity=6)
+        for i in range(8):
+            if i % 3 == 0:
+                ring.record((i, 100 + i, 1000, 0, "file_open", f"/etc/f{i}",
+                             2, "deny", "dac", bool(i % 2), "EACCES",
+                             "dac denied"))
+            else:
+                ring.record(make_row(i))
+        ring.record_fused(9, 42, 1000, 1000, ("file_open", "/tmp/x", 4,
+                                             "allow", "dac", True, "", ""))
+        for last in (None, 0, 3):
+            header = (f"# capacity=6 dropped={ring.dropped} lost=0 "
+                      f"rescued_denials=0")
+            expected = "\n".join(
+                [header] + [entry_render(e) for e in ring.entries(last)]) + "\n"
+            assert ring.render(last) == expected
+        assert " errno=EACCES" in ring.render()
+        assert ring.render(0).count("\n") == 1

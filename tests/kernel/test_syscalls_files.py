@@ -118,6 +118,19 @@ class TestMetadataSyscalls:
         kernel.sys_chown(root, "/tmp/prog", 1000)
         assert not kernel.sys_stat(root, "/tmp/prog").mode & modes.S_ISUID
 
+    def test_chown_keeps_setgid_on_a_directory(self, kernel, root):
+        # chown_common kills the set-id bits only on non-directories:
+        # /var/mail stays 2775 root:mail after its chown.
+        kernel.sys_mkdir(root, "/tmp/spool", 0o2775)
+        kernel.write_file(root, "/tmp/spool/tool", b"#!")
+        kernel.sys_chmod(root, "/tmp/spool/tool", 0o6755)
+        kernel.sys_chown(root, "/tmp/spool", 0, 8)
+        kernel.sys_chown(root, "/tmp/spool/tool", 1000)
+        spool = kernel.sys_stat(root, "/tmp/spool")
+        assert (spool.mode & 0o7777, spool.gid) == (0o2775, 8)
+        tool = kernel.sys_stat(root, "/tmp/spool/tool").mode
+        assert not tool & (modes.S_ISUID | modes.S_ISGID)
+
     def test_access(self, kernel, root, alice):
         kernel.write_file(root, "/etc/secret", b"")
         kernel.sys_chmod(root, "/etc/secret", 0o600)
