@@ -3,9 +3,9 @@
 Two consumers of :mod:`repro.parallel` are timed against their serial
 selves, wall clock around the whole call:
 
-* the **fleet engine** — a 16-shard / 5k-session per-shard-schedule
-  fleet via :func:`run_fleet_parallel` at 1 worker (the in-process
-  path) vs ``PARALLEL_WORKERS`` processes;
+* the **fleet engine** — a 16-shard / 5k-session fleet via
+  :func:`run_fleet_parallel` at 1 worker (the in-process path) vs
+  ``PARALLEL_WORKERS`` processes;
 * the **chaos sweep** — a 40-point (scenario x fault-schedule) sweep
   via :func:`run_chaos_space`, serial vs fanned out.
 
@@ -31,7 +31,7 @@ import time
 from pathlib import Path
 
 from benchmarks.conftest import bench_scale
-from repro.fleet.engine import PER_SHARD, FleetConfig
+from repro.fleet.engine import FleetConfig
 from repro.parallel.fleet import run_fleet_parallel
 from repro.scenarios.chaos import run_chaos_space
 
@@ -69,8 +69,7 @@ def test_parallel_speedup(write_report):
     bars_enforced = FULL_SCALE and cores >= PARALLEL_WORKERS
 
     config = FleetConfig(sessions=FLEET_SESSIONS, shards=FLEET_SHARDS,
-                         seed=SEED, record_schedule=True,
-                         schedule=PER_SHARD)
+                         seed=SEED, record_schedule=True)
     serial_stats, serial_s = _timed(
         lambda: run_fleet_parallel(config, workers=1))
     parallel_stats, parallel_s = _timed(

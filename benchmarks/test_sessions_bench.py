@@ -70,9 +70,9 @@ def _cell_record(stats, fastpath=True):
         "mode": stats.mode,
         "sessions": stats.sessions,
         "shards": stats.shards,
-        # Scheduler worker processes. The grid is the serial oracle
-        # (global schedule, one process); the multi-worker numbers
-        # live in BENCH_parallel.json.
+        # Scheduler worker processes. The grid is the serial engine
+        # (each shard's group in turn, one process); the multi-worker
+        # numbers live in BENCH_parallel.json.
         "workers": 1,
         "fastpath": fastpath,
         "sessions_per_sec": round(stats.sessions_per_sec, 1),

@@ -17,7 +17,7 @@ observer sees is a mode difference, never a provisioning one.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.apparmor.profiles import make_profile
 from repro.core.system import System, SystemMode, UserSpec
@@ -156,18 +156,22 @@ def build_system(config=None, mode: SystemMode = SystemMode.PROTEGO,
             dst_port=port, comment=f"scenario drop {port}/udp"))
 
     if config.fleet_tenants:
-        root = system.root_session()
-        if not system.kernel.vfs.exists("/tmp/fleet"):
-            system.kernel.sys_mkdir(root, "/tmp/fleet", 0o1777)
-        for tenant in config.fleet_tenants:
-            if not system.kernel.vfs.exists(f"/tmp/fleet/{tenant}"):
-                system.kernel.sys_mkdir(root, f"/tmp/fleet/{tenant}", 0o1777)
+        make_tenant_dirs(system, config.fleet_tenants)
 
     if mode is SystemMode.PROTEGO:
         # One daemon pass so the configured policies (sudoers drop-ins
         # included) are loaded before the first probe.
         system.sync()
     return system
+
+
+def make_tenant_dirs(system: System, tenants: Iterable[str]) -> None:
+    """Create ``/tmp/fleet`` and one sticky, world-writable directory
+    per tenant under it as a root shell, skipping any that exist."""
+    root = system.root_session()
+    for path in ["/tmp/fleet"] + [f"/tmp/fleet/{t}" for t in tenants]:
+        if not system.kernel.vfs.exists(path):
+            system.kernel.sys_mkdir(root, path, 0o1777)
 
 
 def build_pair(config=None, start_daemon: Optional[bool] = _SENTINEL
@@ -178,4 +182,5 @@ def build_pair(config=None, start_daemon: Optional[bool] = _SENTINEL
 
 
 __all__ = ["SystemConfig", "build_system", "build_pair",
-           "config_from_scenario", "TENANT", "GROUPJOIN_DROPIN"]
+           "config_from_scenario", "make_tenant_dirs", "TENANT",
+           "GROUPJOIN_DROPIN"]

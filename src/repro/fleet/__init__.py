@@ -7,13 +7,7 @@ DESIGN.md §12.
 """
 
 from repro.fleet.clock import HarnessClock, TickClock
-from repro.fleet.engine import (
-    FleetConfig,
-    FleetEngine,
-    GLOBAL,
-    PER_SHARD,
-    run_fleet,
-)
+from repro.fleet.engine import FleetConfig, FleetEngine, run_fleet
 from repro.fleet.sessions import DEFAULT_MIX, SCRIPTS
 from repro.fleet.shard import Shard, build_shards
 from repro.fleet.stats import FleetStats, LatencyLedger, ShardReport
@@ -22,5 +16,4 @@ __all__ = [
     "FleetConfig", "FleetEngine", "FleetStats", "HarnessClock",
     "LatencyLedger", "Shard", "ShardReport", "TickClock",
     "build_shards", "run_fleet", "DEFAULT_MIX", "SCRIPTS",
-    "GLOBAL", "PER_SHARD",
 ]

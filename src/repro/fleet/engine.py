@@ -9,28 +9,25 @@ session per step — so the interleaving is a pure function of
 
 Assignment is by tenant group: each session belongs to one of
 ``config.tenants`` tenant groups and tenant group ``i`` lives on shard
-``i % shards``.
+``i % config.shards``.
 
-Scheduling is round-robin: the scheduler cycles through live sessions
-in admission order (finished sessions swap-removed). Schedule modes:
+There is one schedule. Each shard runs its own session group with
+:func:`run_shard_group`, a round-robin over the group's live sessions
+in admission order (finished sessions swap-removed), and the engine
+runs the groups one after another in shard-id order. The fleet report
+is the :meth:`FleetStats.merge` of the per-shard parts. Shards share
+nothing: each one models a separate Protego machine enforcing its own
+policy, the paper's unit of deployment, so interleaving two machines'
+sessions in one loop would add no behaviour a real fleet has. Because
+every group depends only on its own shard, the serial fold is also
+the reference for :mod:`repro.parallel.fleet`, which runs the same
+:func:`run_shards` over slices of the fleet in worker processes and
+merges to the identical report.
 
-* ``global`` — the original oracle: one round-robin over *every* live
-  session in the fleet, whatever shard it lives on. Maximally
-  interleaved, inherently sequential.
-* ``per-shard`` — the partitionable schedule: each shard's sessions
-  are scheduled independently by :func:`run_shard_group`, and the
-  per-shard results are folded with :meth:`FleetStats.merge` in
-  shard-id order. Because shards share nothing (pinned by the
-  isolation tests), the fold is the same whether the groups ran
-  back-to-back in this process or concurrently in worker processes —
-  which is exactly how :mod:`repro.parallel.fleet` turns the mode into
-  wall-clock speedup.
-
-Cross-shard bookkeeping is batched: credential-mutating sessions only
-raise their shard's ``needs_sync`` flag, and every
-:data:`BOOKKEEPING_INTERVAL` steps the engine drains the flags with one
-supervised daemon poll per dirty shard (its own shard only, in
-per-shard mode — there is no cross-shard state to drain).
+Bookkeeping is batched: credential-mutating sessions only raise their
+shard's ``needs_sync`` flag, and every :data:`BOOKKEEPING_INTERVAL`
+steps of its group the shard drains it with one supervised daemon
+poll.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from __future__ import annotations
 import dataclasses
 import random
 import zlib
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.system import SystemMode
 from repro.fleet.clock import TickClock
@@ -50,18 +47,10 @@ from repro.fleet.sessions import (
     user_for,
 )
 from repro.fleet.shard import Shard, build_shards
-from repro.fleet.stats import (
-    FleetStats,
-    LatencyLedger,
-    ShardReport,
-    throughput,
-)
+from repro.fleet.stats import FleetStats, LatencyLedger, throughput
 from repro.kernel.errno import SyscallError
 
-GLOBAL = "global"
-PER_SHARD = "per-shard"
-
-#: Scheduler steps between cross-shard bookkeeping sweeps.
+#: Scheduler steps of a shard's group between its bookkeeping syncs.
 BOOKKEEPING_INTERVAL = 1024
 
 
@@ -105,21 +94,21 @@ class FleetConfig:
     #: (username, password) admin-script sessions run as when a roster
     #: is set; None with a roster = admin sessions draw from it too.
     admin: Optional[Tuple[str, str]] = None
-    #: Schedule mode: GLOBAL (the serial oracle) or PER_SHARD (the
-    #: partitionable schedule the parallel engine shares).
-    schedule: str = GLOBAL
+
+    @property
+    def tenant_names(self) -> List[str]:
+        return [f"t{i:02d}" for i in range(self.tenants)]
 
 
 class _Session:
     """Scheduler-side state for one live session."""
 
-    __slots__ = ("sid", "script", "gen", "shard", "started")
+    __slots__ = ("sid", "script", "gen", "started")
 
-    def __init__(self, sid: int, script: str, gen, shard: Shard):
+    def __init__(self, sid: int, script: str, gen):
         self.sid = sid
         self.script = script
         self.gen = gen
-        self.shard = shard
         self.started: Optional[int] = None
 
 
@@ -139,22 +128,24 @@ class Tally:
         self.steps = 0
 
 
-def admit_sessions(config: FleetConfig, shards_by_index: Dict[int, Shard],
-                   tenant_names: List[str],
-                   shard_count: int) -> List[_Session]:
-    """Build session generators for every sid whose shard is present.
+def admit_sessions(config: FleetConfig,
+                   shards: Sequence[Shard]) -> Dict[int, List[_Session]]:
+    """Build the session generators that live on *shards*, grouped by
+    shard index (every given shard gets a group, maybe empty).
 
     Deterministic and partition-stable: each session's RNG, script,
     tenant, and shard depend only on ``(config, sid)``, so a worker
     holding a subset of the shards admits exactly the sessions the
     full fleet would place there — in the same sid order.
     """
-    sessions = []
+    by_index = {shard.index: shard for shard in shards}
+    groups: Dict[int, List[_Session]] = {index: [] for index in by_index}
+    tenant_names = config.tenant_names
     for sid in range(config.sessions):
         rng = random.Random(_derive_seed("session", config.seed, sid))
         script = pick_script(rng, config.mix or DEFAULT_MIX)
         tenant_index = sid % config.tenants
-        shard = shards_by_index.get(tenant_index % shard_count)
+        shard = by_index.get(tenant_index % config.shards)
         if shard is None:
             continue
         if config.roster:
@@ -168,44 +159,34 @@ def admit_sessions(config: FleetConfig, shards_by_index: Dict[int, Shard],
         ctx = SessionContext(
             shard.system, sid, tenant_names[tenant_index],
             username, password, rng, shard=shard)
-        gen = SCRIPTS[script](ctx)
-        sessions.append(_Session(sid, script, gen, shard))
+        groups[shard.index].append(
+            _Session(sid, script, SCRIPTS[script](ctx)))
         shard.sessions += 1
-    return sessions
+    return groups
 
 
-@dataclasses.dataclass
-class GroupResult:
-    """What one scheduled session group produced (shard counters land
-    on the shards themselves; this is the scheduler-side remainder)."""
+def run_shard_group(shard: Shard, sessions: Sequence[_Session],
+                    config: FleetConfig, clock: TickClock,
+                    tally: Tally) -> FleetStats:
+    """Run one shard's session group and return its single-shard
+    :class:`FleetStats` part.
 
-    completed: int
-    failed: int
-    steps: int
-    session_ledger: LatencyLedger
-    op_ledgers: Dict[str, LatencyLedger]
-    op_counts: Dict[str, int]
-    digest: Optional[int]
-
-
-def run_session_group(live: List[_Session], clock: TickClock,
-                      bookkeep: Callable[[], None],
-                      record_schedule: bool,
-                      tally: Optional[Tally] = None) -> GroupResult:
-    """The round-robin scheduler loop, over one group of sessions.
-
-    This is the single step loop behind every mode: the global engine
-    passes the whole fleet as one group with a drain-all bookkeeper;
-    the per-shard mode (serial or in a worker process) passes one
-    shard's sessions with a sync-this-shard bookkeeper. One op per
-    step; the interleaving is a pure function of (group, fault state).
+    A round-robin over the group's live sessions, one op per step.
+    The interleaving — and therefore the schedule CRC and the shard's
+    audit ring — is a pure function of the config, independent of
+    which process runs it or what other shards are doing.
     """
+    kernel = shard.kernel
+    faults = kernel.faults
+    abort_site = shard.abort_site
+    chaos = shard.chaos
+    live = list(sessions)
     session_ledger = LatencyLedger()
     op_ledgers: Dict[str, LatencyLedger] = {}
     op_counts: Dict[str, int] = {}
-    digest = 0 if record_schedule else None
-    completed = failed_count = steps = 0
+    digest = 0 if config.record_schedule else None
     cursor = 0
+    start = clock.now()
 
     while live:
         if cursor >= len(live):
@@ -213,15 +194,12 @@ def run_session_group(live: List[_Session], clock: TickClock,
         session = live[cursor]
         if session.started is None:
             session.started = clock.now()
-        shard = session.shard
-        kernel_before = shard.kernel.now()
+        kernel_before = kernel.now()
         wall_before = clock.now()
         finished = failed = False
         op = None
         err_name = None
-        faults = shard.kernel.faults
-        injected_before = faults.injected_total() if shard.chaos else 0
-        abort_site = shard.abort_site
+        injected_before = faults.injected_total() if chaos else 0
         if abort_site.armed and abort_site.should_fail(session.script):
             # Injected scheduler-level abort: the session is torn
             # down mid-flight with a schedule-drawn errno.
@@ -240,7 +218,7 @@ def run_session_group(live: List[_Session], clock: TickClock,
                 finished = failed = True
                 err_name = "EPERM"
         now = clock.advance()
-        if shard.chaos and faults.injected_total() > injected_before:
+        if chaos and faults.injected_total() > injected_before:
             # Degradation scoreboard: a fault fired during this
             # step — either the op absorbed it (degraded but
             # correct) or it killed the session (hard failure).
@@ -249,111 +227,84 @@ def run_session_group(live: List[_Session], clock: TickClock,
             else:
                 shard.degraded_ops += 1
         if op is not None:
-            steps += 1
             shard.ops += 1
-            if tally is not None:
-                tally.steps += 1
+            tally.steps += 1
             op_counts[op] = op_counts.get(op, 0) + 1
             # Per-op latency: wall nanoseconds under a harness
             # clock, simulated kernel ticks under the tick clock —
             # both deterministic in what they claim to measure.
             cost = (now - wall_before) if clock.wall \
-                else (shard.kernel.now() - kernel_before)
+                else (kernel.now() - kernel_before)
             op_ledgers.setdefault(op, LatencyLedger()).record(cost)
             if digest is not None:
                 digest = zlib.crc32(
                     f"{session.sid}:{op};".encode(), digest)
         if finished:
             if failed:
-                failed_count += 1
                 shard.failed += 1
+                tally.failed += 1
                 shard.count_abort(err_name or "EPERM")
                 if digest is not None:
                     digest = zlib.crc32(
                         f"{session.sid}:FAIL:{err_name};".encode(),
                         digest)
             else:
-                completed += 1
                 shard.completed += 1
-            if tally is not None:
-                if failed:
-                    tally.failed += 1
-                else:
-                    tally.completed += 1
+                tally.completed += 1
+            tally.live -= 1
             session_ledger.record(now - session.started)
             live[cursor] = live[-1]
             live.pop()
-            if tally is not None:
-                tally.live = len(live)
         else:
             cursor += 1
-        if steps % BOOKKEEPING_INTERVAL == 0:
-            bookkeep()
+        if shard.ops % BOOKKEEPING_INTERVAL == 0 and shard.needs_sync:
+            shard.sync()
 
-    return GroupResult(completed, failed_count, steps, session_ledger,
-                       op_ledgers, op_counts, digest)
-
-
-def _fleet_stats(config: FleetConfig, clock: TickClock, elapsed: int,
-                 result: GroupResult, sessions: int,
-                 reports: List[ShardReport]) -> FleetStats:
-    """The report for one scheduled group: the whole fleet under the
-    global schedule, or one shard's part under the per-shard one."""
-    p50, p95, p99 = result.session_ledger.percentiles()
+    if shard.needs_sync:
+        shard.sync()
+    elapsed = clock.now() - start
+    report = shard.report()
+    report.schedule_crc = digest
+    p50, p95, p99 = session_ledger.percentiles()
     return FleetStats(
         mode=config.mode.value,
-        sessions=sessions,
-        shards=len(reports),
+        sessions=report.sessions,
+        shards=1,
         seed=config.seed,
         fastpath=config.fastpath,
         clock="wall" if clock.wall else "tick",
-        schedule=config.schedule,
-        completed=result.completed,
-        failed=result.failed,
-        ops=result.steps,
+        completed=report.completed,
+        failed=report.failed,
+        ops=report.ops,
         elapsed=float(elapsed),
-        sessions_per_sec=throughput(result.completed, elapsed, clock.wall),
+        sessions_per_sec=throughput(report.completed, elapsed, clock.wall),
         session_p50=p50, session_p95=p95, session_p99=p99,
-        session_mean=result.session_ledger.mean,
-        session_max=result.session_ledger.max,
+        session_mean=session_ledger.mean,
+        session_max=session_ledger.max,
         op_latency={kind: ledger.percentiles()
-                    for kind, ledger in result.op_ledgers.items()},
-        op_counts=result.op_counts,
-        shard_reports=reports,
-        schedule_digest=result.digest,
-        session_ledger=result.session_ledger,
-        op_ledgers=result.op_ledgers,
+                    for kind, ledger in op_ledgers.items()},
+        op_counts=op_counts,
+        shard_reports=[report],
+        schedule_digest=digest,
+        session_ledger=session_ledger,
+        op_ledgers=op_ledgers,
     )
 
 
-def run_shard_group(shard: Shard, sessions: Sequence[_Session],
-                    config: FleetConfig,
-                    clock: Optional[TickClock] = None,
-                    tally: Optional[Tally] = None) -> FleetStats:
-    """Run one shard's session group under the per-shard schedule and
-    return its single-shard :class:`FleetStats` part.
+def run_shards(config: FleetConfig, shards: Sequence[Shard],
+               clock: TickClock, tally: Tally) -> List[FleetStats]:
+    """Admit the sessions that live on *shards* and run each shard's
+    group in shard-id order; returns the mergeable per-shard parts.
 
-    The group's interleaving — and therefore its schedule CRC and the
-    shard's audit ring — is a pure function of the config, independent
-    of which process runs it or what other shards are doing. Both the
-    serial per-shard engine and the parallel workers call exactly this
-    function; :meth:`FleetStats.merge` folds the parts either way.
+    The whole fleet (:meth:`FleetEngine.run_parts`) and a parallel
+    worker's slice of it both run through here.
     """
-    clock = clock if clock is not None else TickClock()
-
-    def bookkeep() -> None:
-        if shard.needs_sync:
-            shard.sync()
-
-    start = clock.now()
-    result = run_session_group(list(sessions), clock, bookkeep,
-                               config.record_schedule, tally)
-    bookkeep()
-    elapsed = clock.now() - start
-    report = shard.report()
-    report.schedule_crc = result.digest
-    return _fleet_stats(config, clock, elapsed, result, report.sessions,
-                        [report])
+    for shard in shards:
+        shard.begin_run()
+    groups = admit_sessions(config, shards)
+    tally.reset(sum(len(group) for group in groups.values()))
+    return [run_shard_group(shard, groups[shard.index], config, clock, tally)
+            for shard in sorted(shards, key=lambda s: s.index)]
 
 
 class FleetEngine:
@@ -362,73 +313,28 @@ class FleetEngine:
     def __init__(self, config: FleetConfig,
                  clock: Optional[TickClock] = None,
                  shards: Optional[List[Shard]] = None):
-        if config.schedule not in (GLOBAL, PER_SHARD):
-            raise ValueError(f"unknown schedule {config.schedule!r}")
+        if shards is None:
+            shards = build_shards(config.mode, config.shards,
+                                  tenants=config.tenant_names,
+                                  fastpath=config.fastpath)
+        indices = sorted(shard.index for shard in shards)
+        if indices != list(range(config.shards)):
+            raise ValueError(f"shard indices {indices} do not match "
+                             f"config.shards={config.shards}")
         self.config = config
         self.clock = clock or TickClock()
-        self.tenant_names = [f"t{i:02d}" for i in range(config.tenants)]
-        self.shards = shards if shards is not None else build_shards(
-            config.mode, config.shards, tenants=self.tenant_names,
-            fastpath=config.fastpath)
+        self.shards = shards
         self.tally = Tally()
         for shard in self.shards:
             shard.attach_fleet_render(self._render_live)
 
-    # ------------------------------------------------------------------
-    def _admit(self) -> List[_Session]:
-        """Build every session's generator (deterministically — each
-        session's RNG and script choice depend only on (seed, sid))."""
-        by_index = {shard.index: shard for shard in self.shards}
-        return admit_sessions(self.config, by_index, self.tenant_names,
-                              len(self.shards))
-
-    # ------------------------------------------------------------------
     def run(self) -> FleetStats:
-        if self.config.schedule == PER_SHARD:
-            return FleetStats.merge(self.run_parts())
-        return self._run_global()
-
-    def _run_global(self) -> FleetStats:
-        config = self.config
-        clock = self.clock
-        for shard in self.shards:
-            shard.begin_run()
-        live = self._admit()
-        self.tally.reset(len(live))
-
-        run_start = clock.now()
-        result = run_session_group(live, clock, self._bookkeep,
-                                   config.record_schedule, self.tally)
-        self._bookkeep()
-        elapsed = clock.now() - run_start
-        return _fleet_stats(config, clock, elapsed, result, config.sessions,
-                            [shard.report() for shard in self.shards])
+        return FleetStats.merge(self.run_parts())
 
     def run_parts(self) -> List[FleetStats]:
-        """The serial per-shard run, as its mergeable parts: each
-        shard's group scheduled independently, in shard-id order.
-
-        Exposed (rather than folded straight into :meth:`run`) so the
-        merge tests can regroup the parts, and so the parallel engine
-        has an in-process oracle producing the identical part list."""
-        if self.config.schedule != PER_SHARD:
-            raise ValueError("run_parts requires the per-shard schedule")
-        for shard in self.shards:
-            shard.begin_run()
-        sessions = self._admit()
-        self.tally.reset(len(sessions))
-        groups: Dict[int, List[_Session]] = {}
-        for session in sessions:
-            groups.setdefault(session.shard.index, []).append(session)
-        return [run_shard_group(shard, groups.get(shard.index, []),
-                                self.config, clock=self.clock,
-                                tally=self.tally)
-                for shard in sorted(self.shards, key=lambda s: s.index)]
-
-    def _bookkeep(self) -> None:
-        for shard in self.shards:
-            if shard.needs_sync:
-                shard.sync()
+        """The run as its mergeable per-shard parts (the merge tests
+        regroup them)."""
+        return run_shards(self.config, self.shards, self.clock, self.tally)
 
     # ------------------------------------------------------------------
     def _render_live(self) -> str:
@@ -441,7 +347,6 @@ class FleetEngine:
         hard = sum(s.hard_failures for s in self.shards)
         return (f"fleet: mode={config.mode.value} "
                 f"sessions={config.sessions} shards={len(self.shards)} "
-                f"schedule={config.schedule} "
                 f"seed={config.seed} live={tally.live} "
                 f"completed={tally.completed} failed={tally.failed} "
                 f"steps={tally.steps}\n"

@@ -20,6 +20,7 @@ from __future__ import annotations
 import zlib
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.build import make_tenant_dirs
 from repro.core.system import System, SystemMode
 from repro.fleet.stats import ShardReport
 from repro.kernel.fault import SITE_SESSION_ABORT, SITE_SHARD_SYNC
@@ -211,12 +212,7 @@ def build_shards(mode: SystemMode, count: int,
             system = system_factory(index)
         else:
             system = System(mode, hostname=f"{mode.value}-shard{index}")
-        root = system.root_session()
-        if not system.kernel.vfs.exists("/tmp/fleet"):
-            system.kernel.sys_mkdir(root, "/tmp/fleet", 0o1777)
-        for tenant in tenants or []:
-            if not system.kernel.vfs.exists(f"/tmp/fleet/{tenant}"):
-                system.kernel.sys_mkdir(root, f"/tmp/fleet/{tenant}", 0o1777)
+        make_tenant_dirs(system, tenants or [])
         if not fastpath:
             system.kernel.fastpath.enabled = False
         shards.append(Shard(index, system))

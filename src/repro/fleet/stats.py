@@ -8,15 +8,15 @@ a reservoir is full, every other retained sample is dropped and only
 every 2^k-th new sample is kept — no RNG, so two runs with the same
 seed keep identical reservoirs.
 
-Both ledgers and whole reports are *mergeable*: the per-shard schedule
-mode (and the process-parallel engine built on it — DESIGN.md §15)
-produces one single-shard :class:`FleetStats` part per shard, and
-:meth:`FleetStats.merge` folds the parts in shard-id order. Every
-merge is order-defined (shard-id order is the canonical fold order)
-and associative — reservoirs concatenate untouched and the cap
-decimation is deferred to the next ``record()`` — so any grouping of
-the parts yields the same report, which is what lets N worker
-processes each merge their own slice.
+Both ledgers and whole reports are *mergeable*: the engine runs one
+session group per shard and produces one single-shard
+:class:`FleetStats` part per group, and :meth:`FleetStats.merge` folds
+the parts into the fleet report, serially or across the worker
+processes of DESIGN.md §15. Every merge is order-defined (shard-id
+order is the canonical fold order) and associative — reservoirs
+concatenate untouched and the cap decimation is deferred to the next
+``record()`` — so any grouping of the parts yields the same report,
+which is what lets N worker processes each merge their own slice.
 """
 
 from __future__ import annotations
@@ -120,9 +120,8 @@ class LatencyLedger:
         one reservoir whatever its grouping. Retained samples keep
         their source ledger's density (a long-running shard's samples
         are sparser than a short one's); nearest-rank percentiles over
-        the union are an estimate either way, and the serial per-shard
-        engine and the parallel merge compute them from the identical
-        union.
+        the union are an estimate either way, and the serial engine and
+        the parallel merge compute them from the identical union.
         """
         self.count += other.count
         self.total += other.total
@@ -181,9 +180,8 @@ class ShardReport:
     #: per-shard fingerprint the determinism projection compares, and
     #: what a worker ships back instead of the ring itself.
     audit_crc: int = 0
-    #: Per-shard (sid, op) schedule CRC — set only by the per-shard
-    #: schedule mode (``None`` under the global oracle schedule, whose
-    #: digest is fleet-wide).
+    #: The shard group's (sid, op) schedule CRC, when the engine was
+    #: asked to record it.
     schedule_crc: Optional[int] = None
 
     def render(self) -> str:
@@ -221,10 +219,6 @@ class FleetStats:
     seed: int
     fastpath: bool
     clock: str              # "tick" or "wall"
-    #: Schedule mode echo: "global" (the serial oracle round-robin over
-    #: every live session) or "per-shard" (the partitionable schedule
-    #: serial and parallel engines share).
-    schedule: str = "global"
     completed: int = 0
     failed: int = 0
     ops: int = 0
@@ -242,9 +236,9 @@ class FleetStats:
     op_counts: Dict[str, int] = dataclasses.field(default_factory=dict)
     shard_reports: List[ShardReport] = dataclasses.field(default_factory=list)
     #: Rolling CRC over the (sid, op) schedule, when the engine was
-    #: asked to record it — the determinism tests' fingerprint. Under
-    #: the per-shard schedule this is the shard-id-ordered combination
-    #: of the per-shard ``schedule_crc`` values.
+    #: asked to record it — the determinism tests' fingerprint. A
+    #: merged report combines the per-shard ``schedule_crc`` values in
+    #: shard-id order.
     schedule_digest: Optional[int] = None
     #: The live ledgers behind the percentile fields — attached by the
     #: engine so reports stay mergeable; excluded from equality and
@@ -279,12 +273,10 @@ class FleetStats:
         must agree on, wall-time fields excluded. Keys with unordered
         sources (op counts) are emitted sorted so the projection is
         bit-identical — ``repr()`` included — however it was built
-        (one global schedule, a serial per-shard fold, or N worker
-        processes merged)."""
+        (a serial per-shard fold or N worker processes merged)."""
         return {
             "mode": self.mode, "sessions": self.sessions,
             "shards": self.shards, "seed": self.seed,
-            "schedule": self.schedule,
             "completed": self.completed, "failed": self.failed,
             "ops": self.ops,
             "op_counts": {op: self.op_counts[op]
@@ -310,8 +302,8 @@ class FleetStats:
         sub-groups merge again without changing anything: counters
         add, reports concatenate, the schedule digest is recomputed
         from the per-shard CRCs every time). This is the single code
-        path behind both the serial per-shard engine and the parent
-        side of the process-parallel engine, which is what makes their
+        path behind both the serial engine and the parent side of the
+        process-parallel engine, which is what makes their
         ``comparable()`` projections bit-identical.
         """
         if not parts:
@@ -354,7 +346,6 @@ class FleetStats:
             seed=first.seed,
             fastpath=first.fastpath,
             clock=first.clock,
-            schedule=first.schedule,
             completed=completed,
             failed=sum(part.failed for part in parts),
             ops=sum(part.ops for part in parts),

@@ -11,9 +11,10 @@ Two consumers sit on this layer:
 * :mod:`repro.parallel.fleet` — :func:`run_fleet_parallel`, the
   process-parallel fleet engine: shards are partitioned across
   workers, each worker *rebuilds* its shard group from ``(config,
-  seed)`` (kernels are never pickled), runs the per-shard scheduler,
-  and ships back per-shard :class:`~repro.fleet.stats.FleetStats`
-  parts the parent merges in shard-id order. See DESIGN.md §15.
+  seed)`` (kernels are never pickled), runs it through the serial
+  engine's own code path, and ships back per-shard
+  :class:`~repro.fleet.stats.FleetStats` parts the parent merges in
+  shard-id order. See DESIGN.md §15.
 
 The worker count comes from the ``REPRO_WORKERS`` environment knob
 (default 1 — fully serial) unless a caller passes ``workers=``

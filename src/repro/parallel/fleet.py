@@ -1,16 +1,17 @@
 """The process-parallel fleet engine.
 
-:func:`run_fleet_parallel` runs a per-shard-schedule fleet across OS
-worker processes: shard ids are striped over the workers, each worker
-*rebuilds* its shard slice from ``(config, seed)`` — kernels are never
-pickled — runs the same :func:`~repro.fleet.engine.run_shard_group`
-the serial engine uses, and ships back one single-shard
-:class:`~repro.fleet.stats.FleetStats` part per shard (counters,
-ledgers, audit/schedule CRCs — all plain picklable data). The parent
-folds every part with :meth:`FleetStats.merge`, which sorts by shard
-id, so the merged report's ``comparable()`` is bit-identical to a
-serial ``FleetEngine(config).run()`` of the same per-shard config —
-whatever the worker count, however the stripes interleaved.
+:func:`run_fleet_parallel` runs a fleet across OS worker processes:
+shard ids are striped over the workers, each worker *rebuilds* its
+shard slice from ``(config, seed)`` — kernels are never pickled —
+runs it through :func:`~repro.fleet.engine.run_shards`, the function
+behind the serial ``FleetEngine.run_parts``, and ships back one
+single-shard :class:`~repro.fleet.stats.FleetStats` part per shard
+(counters, ledgers, audit/schedule CRCs — all plain picklable data).
+The parent folds every part with :meth:`FleetStats.merge`, which sorts
+by shard id, so the merged report's ``comparable()`` is bit-identical
+to a serial ``FleetEngine(config).run()`` — whatever the worker count,
+however the stripes interleaved. That serial per-shard fold is the
+reference this engine is tested against.
 
 Why rebuilding is sound: shard construction is a pure function of
 ``(config, shard index)`` (pinned by the worker-rebuild equivalence
@@ -22,38 +23,26 @@ builds) re-warm per worker; they affect construction *cost*, never
 construction *result*.
 
 Latency ledgers travel whole (bounded reservoirs, a few KiB each), so
-merged percentiles equal the serial per-shard run's — the tick ledger
-is interleaving distance within a shard's own group either way.
+merged percentiles equal the serial run's — the tick ledger is
+interleaving distance within a shard's own group either way.
 
-Not supported: ``schedule="global"`` (one round-robin over every live
-session in the fleet is inherently sequential — that mode *is* the
-oracle the per-shard schedule is validated against) and roster/
-``system_factory`` fleets (workers can only rebuild what the config
-fully describes; generated-scenario fleets parallelize one level up,
-via ``parallel_map`` over whole scenarios).
+Not supported: roster/``system_factory`` fleets (workers can only
+rebuild what the config fully describes; generated-scenario fleets
+parallelize one level up, via ``parallel_map`` over whole scenarios).
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.fleet.engine import (
-    PER_SHARD,
-    FleetConfig,
-    admit_sessions,
-    run_shard_group,
-)
+from repro.fleet.clock import TickClock
+from repro.fleet.engine import FleetConfig, Tally, run_shards
 from repro.fleet.shard import build_shards
 from repro.fleet.stats import FleetStats
 from repro.parallel.pool import parallel_map, resolve_workers
 
 
 def _check_config(config: FleetConfig) -> None:
-    if config.schedule != PER_SHARD:
-        raise ValueError(
-            "run_fleet_parallel requires schedule='per-shard' "
-            f"(got {config.schedule!r}); the global schedule is the "
-            "sequential oracle and cannot be partitioned")
     if config.roster is not None:
         raise ValueError(
             "run_fleet_parallel cannot rebuild roster fleets in worker "
@@ -69,18 +58,10 @@ def run_fleet_slice(task: Tuple[FleetConfig, Tuple[int, ...]]) \
     byte-identical wherever it runs.
     """
     config, indices = task
-    tenant_names = [f"t{i:02d}" for i in range(config.tenants)]
-    shards = build_shards(config.mode, config.shards, tenants=tenant_names,
+    shards = build_shards(config.mode, config.shards,
+                          tenants=config.tenant_names,
                           fastpath=config.fastpath, indices=indices)
-    by_index = {shard.index: shard for shard in shards}
-    for shard in shards:
-        shard.begin_run()
-    sessions = admit_sessions(config, by_index, tenant_names, config.shards)
-    groups = {index: [] for index in by_index}
-    for session in sessions:
-        groups[session.shard.index].append(session)
-    return [run_shard_group(by_index[index], groups[index], config)
-            for index in sorted(by_index)]
+    return run_shards(config, shards, TickClock(), Tally())
 
 
 def run_fleet_parallel(config: FleetConfig,

@@ -9,6 +9,8 @@ from repro.fleet import (
     build_shards,
     run_fleet,
 )
+from repro.fleet.clock import TickClock
+from repro.fleet.engine import admit_sessions
 from repro.fleet.shard import FLEET_PROC_PATH
 
 
@@ -30,21 +32,18 @@ def test_linux_mode():
     assert stats.mode == "linux"
 
 
-def test_invalid_schedule_rejected():
-    with pytest.raises(ValueError):
-        FleetEngine(FleetConfig(sessions=1, schedule="fifo"))
-
-
 def test_tenant_pinned_to_one_shard():
     engine = FleetEngine(FleetConfig(sessions=60, shards=4, seed=1,
                                      tenants=16))
-    sessions = engine._admit()
+    groups = admit_sessions(engine.config, engine.shards)
+    assert sum(len(group) for group in groups.values()) == 60
     shard_of_tenant = {}
-    for session in sessions:
-        tenant = session.sid % 16
-        shard_of_tenant.setdefault(tenant, session.shard.index)
-        assert shard_of_tenant[tenant] == session.shard.index
-        assert session.shard.index == tenant % 4
+    for index, group in groups.items():
+        for session in group:
+            tenant = session.sid % 16
+            shard_of_tenant.setdefault(tenant, index)
+            assert shard_of_tenant[tenant] == index
+            assert index == tenant % 4
     # With 16 tenants over 4 shards, every shard hosts someone.
     assert len(set(shard_of_tenant.values())) == 4
 
@@ -86,3 +85,35 @@ def test_engine_accepts_prebuilt_shards():
     stats = FleetEngine(config, shards=shards).run()
     assert stats.completed == 12
     assert stats.shards == 2
+
+
+def test_prebuilt_shards_must_match_the_configured_count():
+    # Admission places tenant i on shard i % config.shards, so a shard
+    # list of another size would silently drop or misplace sessions.
+    shards = build_shards(SystemMode.PROTEGO, 2,
+                          tenants=[f"t{i:02d}" for i in range(8)])
+    config = FleetConfig(sessions=12, shards=4, seed=4, tenants=8)
+    with pytest.raises(ValueError, match="config.shards=4"):
+        FleetEngine(config, shards=shards)
+
+
+def test_live_count_falls_monotonically_across_shard_groups():
+    # The /proc/protego/fleet live= figure is fleet-wide: it must not
+    # drop to 0 when one shard's group ends and rise with the next.
+    class RecordingClock(TickClock):
+        def __init__(self):
+            super().__init__()
+            self.live = []
+
+        def advance(self):
+            self.live.append(engine.tally.live)
+            return super().advance()
+
+    clock = RecordingClock()
+    engine = FleetEngine(FleetConfig(sessions=40, shards=4, seed=6),
+                         clock=clock)
+    engine.run()
+    assert clock.live[0] == 40
+    assert all(a >= b for a, b in zip(clock.live, clock.live[1:]))
+    assert engine.tally.live == 0
+    assert engine.tally.completed + engine.tally.failed == 40

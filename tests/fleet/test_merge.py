@@ -1,15 +1,15 @@
 """Merge algebra: ledgers and fleet reports fold deterministically.
 
-The per-shard schedule (and the process-parallel engine on top of it)
-stands on two properties pinned here: LatencyLedger folds are exact on
-aggregates and associative on reservoirs, and FleetStats.merge is a
-pure function of the part *set* — any grouping, any arrival order,
-same report.
+The engine's per-shard parts (serial or from the process-parallel
+engine) stand on two properties pinned here: LatencyLedger folds are
+exact on aggregates and associative on reservoirs, and
+FleetStats.merge is a pure function of the part *set* — any grouping,
+any arrival order, same report.
 """
 
 import random
 
-from repro.fleet.engine import PER_SHARD, FleetConfig, FleetEngine
+from repro.fleet.engine import FleetConfig, FleetEngine
 from repro.fleet.stats import (
     FleetStats,
     LatencyLedger,
@@ -108,7 +108,7 @@ class TestCombineScheduleDigests:
 
 class TestFleetStatsMerge:
     CONFIG = FleetConfig(sessions=240, shards=4, seed=23,
-                         record_schedule=True, schedule=PER_SHARD)
+                         record_schedule=True)
 
     def parts(self):
         return FleetEngine(self.CONFIG).run_parts()

@@ -1,10 +1,10 @@
-"""The process-parallel fleet engine vs the serial per-shard oracle.
+"""The process-parallel fleet engine vs the serial engine.
 
 The contract under test: ``run_fleet_parallel(config, workers=N)``
 produces a report whose ``comparable()`` — schedule digest and
 per-shard audit CRCs included — is bit-identical to a serial
-``FleetEngine(config).run()`` of the same per-shard config, for every
-worker count; and a worker process *rebuilding* its shard slice from
+``FleetEngine(config).run()`` of the same config, for every worker
+count; and a worker process *rebuilding* its shard slice from
 ``(config, seed)`` alone reproduces the in-parent shards byte for
 byte (the guard against module-level memos leaking run-dependent
 state into construction).
@@ -14,17 +14,12 @@ import multiprocessing
 
 import pytest
 
-from repro.fleet.engine import (
-    GLOBAL,
-    PER_SHARD,
-    FleetConfig,
-    FleetEngine,
-)
+from repro.fleet.engine import FleetConfig, FleetEngine
 from repro.fleet.stats import FleetStats
 from repro.parallel.fleet import run_fleet_parallel, run_fleet_slice
 
 CONFIG = FleetConfig(sessions=240, shards=4, seed=29,
-                     record_schedule=True, schedule=PER_SHARD)
+                     record_schedule=True)
 
 
 def serial_comparable(config=CONFIG):
@@ -55,7 +50,7 @@ class TestParallelMatchesSerial:
 
     def test_more_workers_than_shards(self):
         config = FleetConfig(sessions=80, shards=2, seed=3,
-                             record_schedule=True, schedule=PER_SHARD)
+                             record_schedule=True)
         assert run_fleet_parallel(config, workers=8).comparable() == \
             serial_comparable(config)
 
@@ -66,14 +61,8 @@ class TestParallelMatchesSerial:
 
 
 class TestConfigRejection:
-    def test_global_schedule_is_refused(self):
-        config = FleetConfig(sessions=10, shards=2, schedule=GLOBAL)
-        with pytest.raises(ValueError, match="per-shard"):
-            run_fleet_parallel(config, workers=2)
-
     def test_roster_fleets_are_refused(self):
-        config = FleetConfig(sessions=10, shards=2, schedule=PER_SHARD,
-                             roster=(("u", "p"),))
+        config = FleetConfig(sessions=10, shards=2, roster=(("u", "p"),))
         with pytest.raises(ValueError, match="roster"):
             run_fleet_parallel(config, workers=2)
 
