@@ -22,11 +22,10 @@ from pathlib import Path
 
 from benchmarks.conftest import bench_scale
 from repro.core import System, SystemMode
-from repro.kernel.dcache import MAX_CREDS, MAX_ENTRIES, DentryCache
+from repro.kernel.dcache import MAX_CREDS, DentryCache
 from repro.kernel.security.server import (
     _FASTPATH_UNCACHEABLE_ERRNOS,
     _UNCACHEABLE_ERRNOS,
-    CACHE_SIZE,
     SecurityServer,
 )
 
@@ -41,12 +40,7 @@ JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_fault_overhead.json"
 # Guard-free clones: the instrumented bodies minus the fault guard.
 # ----------------------------------------------------------------------
 def _put_unguarded(self, path, follow, entry):
-    key = (self.mount_epoch, path, follow)
-    self._entries[key] = entry
-    self._index.add(path, key)
-    if len(self._entries) > MAX_ENTRIES:
-        evicted_key, _ = self._entries.popitem(last=False)
-        self._index.discard(evicted_key[1], evicted_key)
+    self._entries.put((follow, path), entry)
 
 
 def _perms_for_unguarded(self, cred_epoch, cred):
@@ -73,7 +67,6 @@ def _check_unguarded(self, req):
         hit = self._cache.get(key)
         if hit is not None:
             self.stats.hits += 1
-            self._cache.move_to_end(key)
             self._record(req, hit, cached=True)
             return hit
         self.stats.misses += 1
@@ -86,11 +79,7 @@ def _check_unguarded(self, req):
         if decision.errno not in _FASTPATH_UNCACHEABLE_ERRNOS:
             object.__setattr__(decision, "fastpath_ok", True)
         if decision.errno not in _UNCACHEABLE_ERRNOS:
-            self._cache[key] = decision
-            self._index.add(key[5], key)
-            if len(self._cache) > CACHE_SIZE:
-                evicted_key, _ = self._cache.popitem(last=False)
-                self._index.discard(evicted_key[5], evicted_key)
+            self._cache.put(key, decision)
     self._record(req, decision, cached=False)
     return decision
 

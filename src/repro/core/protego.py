@@ -140,7 +140,7 @@ class ProtegoLSM(SecurityModule):
         the cacheability veto only guards inserts made after this."""
         self.binary_acl[path] = tuple(allowed_exes)
         if self.kernel is not None:
-            self.kernel.security_server.invalidate_object(path)
+            self.kernel.generations.invalidate_path(path)
 
     # ------------------------------------------------------------------
     # helpers

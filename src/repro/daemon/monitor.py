@@ -133,10 +133,10 @@ class MonitoringDaemon:
         self._route_policy.replace_options(parse_ppp_options(text))
         # This policy swap bypasses the /proc files, so the caches
         # must be flushed here rather than by a write_fn: the decision
-        # cache entirely, and (via the server's fan-out) the dentry
-        # cache's permission entries. Every other config-sync write
-        # goes through the syscall layer, whose invalidate_object()
-        # call reaches both caches per mutated path.
+        # cache entirely, and (via the policy bump) the fused verdict
+        # table. Every other config-sync write goes through the
+        # syscall layer, whose generations.invalidate_path() call
+        # reaches every path-keyed cache per mutated path.
         self.kernel.security_server.flush(reason="ppp route policy sync")
         self.status.note_success("ppp", self.kernel.now())
         self.sync_log.append("ppp: route policy synced")

@@ -112,6 +112,7 @@ class Shard:
             "dc_hits": dc.hits, "dc_lookups": dc.lookups,
             "dc_invalidations": dc.invalidations,
             "avc_hits": av.hits, "avc_lookups": av.lookups,
+            "avc_invalidations": av.invalidations,
             "flow_hits": nf["flow_hits"],
             "flow_lookups": nf["flow_hits"] + nf["flow_misses"],
             "audit_seq": ring.seq, "audit_dropped": ring.dropped,
@@ -153,7 +154,8 @@ class Shard:
                                     delta["flow_lookups"]),
             fastpath_stale_evictions=int(delta["fp_stale"]),
             invalidations=int(delta["fp_invalidations"]
-                              + delta["dc_invalidations"]),
+                              + delta["dc_invalidations"]
+                              + delta["avc_invalidations"]),
             audit_appended=int(delta["audit_seq"]),
             audit_dropped=int(delta["audit_dropped"]),
             audit_lost=int(delta["audit_lost"]),

@@ -158,6 +158,9 @@ class ShardReport:
     decision_hit_rate: float = 0.0
     flow_hit_rate: float = 0.0
     fastpath_stale_evictions: int = 0
+    #: Cache entries dropped by path invalidations (and dcache mount
+    #: clears), summed over the fused table, the dcache path map and
+    #: the decision cache.
     invalidations: int = 0
     #: Audit-ring pressure over the run: rows appended, rows rotated
     #: out of the full ring, rows refused by injected alloc failures,

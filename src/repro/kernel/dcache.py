@@ -4,17 +4,16 @@ The simulator's Table 5 gap (stat +12.6%, mount/umnt +30% where the
 paper reports ~0-1%) is walk cost, not policy cost: every path-taking
 syscall re-walked each component, and most walked *twice* — once to
 resolve and once to check search permission. This module memoizes the
-walk the way Linux's dcache does, with the same three invalidation
-generations the PR 1 decision cache established:
+walk the way Linux's dcache does. The path map is a
+:class:`~repro.kernel.pathindex.PathCache` keyed ``(follow, path)``
+(bounded, FIFO), with three invalidation routes:
 
-* **mount epoch** — a global generation embedded in every path key,
-  bumped on any mount-table change (mount/umount/pivot). Old entries
-  become unreachable at once; the table is dropped eagerly to bound
-  memory.
+* **mount** — any mount-table change (mount/umount/pivot) empties the
+  path map, since a mount can change what any path resolves to.
 * **path prefix** — `invalidate_prefix(path)` on namespace mutations
   (create/unlink/rename/rmdir/symlink/link) and attribute changes
   (chmod/chown) drops the path's entries and every descendant's. The
-  VFS subscribes it to the generation hub's path fan-out, so the
+  cache subscribes it to the generation hub's path fan-out, so the
   syscall layer keeps a single invalidation call site per mutation.
 * **cred epoch** — permission entries are keyed on the caller's
   credential epoch (bumped by setuid/setgid/setgroups/exec commits),
@@ -45,13 +44,13 @@ from repro.kernel.errno import Errno
 from repro.kernel.fault import SITE_DCACHE_ALLOC, FaultSite
 from repro.kernel.generations import GenerationHub
 from repro.kernel.inode import Inode
-from repro.kernel.pathindex import PathIndex
+from repro.kernel.pathindex import PathCache
 
 #: Sentinel distinguishing "no cached permission entry" from a cached
 #: ALLOW (stored as None).
 PERM_MISS = object()
 
-#: Path-map capacity (LRU) and the number of credential generations
+#: Path-map capacity (FIFO) and the number of credential generations
 #: whose permission maps are kept (LRU).
 MAX_ENTRIES = 4096
 MAX_CREDS = 256
@@ -71,6 +70,7 @@ class DcacheStats:
     walks: int = 0
     perm_hits: int = 0
     perm_misses: int = 0
+    #: Path-map entries dropped by prefix invalidations and mount clears.
     invalidations: int = 0
     flushes: int = 0
     #: Insertions refused by an injected allocation failure — the walk
@@ -119,16 +119,13 @@ class DentryCache:
 
     def __init__(self, generations: Optional[GenerationHub] = None):
         self.enabled = True
-        #: The shared generation authority; the mount-table generation
-        #: (part of every path key) lives there so the fused fast path
-        #: sees the same epoch this cache keys on.
+        #: The shared generation authority: mount bumps go through it
+        #: (so the fused fast path empties too), and its path fan-out
+        #: delivers prefix invalidations.
         self.generations = generations if generations is not None \
             else GenerationHub()
-        self._entries: "collections.OrderedDict[Tuple, Dentry]" = \
-            collections.OrderedDict()
-        #: Reverse path->keys index so prefix invalidation is
-        #: proportional to the entries dropped, not the cache size.
-        self._index = PathIndex()
+        self._entries = PathCache(MAX_ENTRIES)
+        self.generations.subscribe_paths(self.invalidate_prefix)
         #: (cred_epoch, cred) -> {(ino, generation, mask) -> errno|None}
         self._perms: "collections.OrderedDict[Tuple, Dict]" = \
             collections.OrderedDict()
@@ -145,29 +142,20 @@ class DentryCache:
 
     @property
     def mount_epoch(self) -> int:
-        """The mount-table generation (hub-owned; part of every key)."""
+        """The mount-table generation (hub-owned)."""
         return self.generations.mount
 
     # ------------------------------------------------------------------
     # Path map
     # ------------------------------------------------------------------
     def get(self, path: str, follow: bool) -> Optional[Dentry]:
-        key = (self.mount_epoch, path, follow)
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-        return entry
+        return self._entries.get((follow, path))
 
     def put(self, path: str, follow: bool, entry: Dentry) -> None:
         if self.fault_site.armed and self.fault_site.should_fail(path):
             self.stats.alloc_failures += 1
             return
-        key = (self.mount_epoch, path, follow)
-        self._entries[key] = entry
-        self._index.add(path, key)
-        if len(self._entries) > MAX_ENTRIES:
-            evicted_key, _ = self._entries.popitem(last=False)
-            self._index.discard(evicted_key[1], evicted_key)
+        self._entries.put((follow, path), entry)
 
     # ------------------------------------------------------------------
     # Permission cache
@@ -196,35 +184,25 @@ class DentryCache:
         return perms
 
     # ------------------------------------------------------------------
-    # Invalidation (the three generations)
+    # Invalidation
     # ------------------------------------------------------------------
     def bump_mount_epoch(self) -> int:
-        """The mount table changed: every cached walk is suspect. The
-        epoch in the key orphans them; dropping eagerly bounds memory.
-        The bump goes through the hub, which also advances the composed
-        generation the fused fast path stamps."""
-        epoch = self.generations.bump_mount()
-        if self._entries:
-            self.stats.invalidations += 1
-            self._entries.clear()
-            self._index.clear()
-        return epoch
+        """The mount table changed: every cached walk is suspect, so
+        the path map empties. The bump goes through the hub, whose
+        flush fan-out empties the fused fast path too."""
+        self.stats.invalidations += len(self._entries)
+        self._entries.clear()
+        return self.generations.bump_mount()
 
-    def invalidate_prefix(self, path: str) -> int:
+    def invalidate_prefix(self, path: str) -> None:
         """Drop *path*'s entries and every descendant's (a rename of a
         directory moves its whole subtree; a chmod changes every walk
         through it). Negative entries die here too — this is what a
         create calls."""
-        stale = self._index.collect(path)
-        for key in stale:
-            self._entries.pop(key, None)
-        if stale:
-            self.stats.invalidations += 1
-        return len(stale)
+        self.stats.invalidations += self._entries.invalidate_prefix(path)
 
     def flush(self) -> None:
         self._entries.clear()
-        self._index.clear()
         self._perms.clear()
         self._last_perms = None
         self.stats.flushes += 1

@@ -6,17 +6,17 @@ verdicts, the AppArmor DFA memoizes rule matching. A warm ``open()``
 still pays all three probes, each with its own key build and its own
 invalidation scheme. This table is the SELinux-AVC idea taken to its
 conclusion: cache the **final** outcome of a whole access — the
-errno-or-allow plus the resolved inode — under one key, guarded by
-one staleness check.
+errno-or-allow plus the resolved inode — under one key, probed with
+one dict ``get``.
 
 Key: ``(op|mask, path, sid)``.
 
 * ``op|mask`` — the operation tag (stat/open/perm) with the DAC mask
   or open flags folded into it, so one path can hold distinct verdicts
   per access mode.
-* ``path`` — the normalized absolute path, kept at index 1 and
-  reverse-indexed (:class:`~repro.kernel.pathindex.PathIndex`) so a
-  prefix invalidation drops exactly the affected verdicts.
+* ``path`` — the normalized absolute path, kept at index 1 so the
+  table's :class:`~repro.kernel.pathindex.PathCache` reverse-indexes
+  it and a prefix invalidation drops exactly the affected verdicts.
 * ``sid`` — the subject id: a never-reused integer the kernel interns
   for each distinct ``(cred_epoch, cred, exe_path)`` triple (see
   ``SyscallMixin._fp_subject``). Epochs are minted by the
@@ -28,13 +28,11 @@ Key: ``(op|mask, path, sid)``.
   matters because Protego's binary ACLs make the verdict depend on
   *which program* is asking, not just whose uid.
 
-Each entry stamps the hub's **composed generation** at insert time.
-A probe compares two integers: stamp vs. the current composed
-generation. Any mount-table change or policy reload advances the
-composed generation and thereby orphans every entry at once (counted
-as ``stale_evictions`` when next probed); attribute changes and
-namespace mutations arrive as **prefix invalidations** through the
-hub's path fan-out, exactly like the dcache's.
+Staleness never reaches the probe. Any mount-table change or policy
+reload empties the table through the hub's flush fan-out (the dropped
+entries count as ``stale_evictions``); attribute changes and namespace
+mutations arrive as **prefix invalidations** through the hub's path
+fan-out, exactly like the dcache's and the decision cache's.
 
 What may be fused is decided by the *insert* side (the syscall layer):
 only verdicts whose walk left a dentry behind (the dcache's own
@@ -52,10 +50,9 @@ never a different one.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Optional, Tuple
 
-from repro.kernel.pathindex import PathIndex
+from repro.kernel.pathindex import PathCache
 
 #: Operation tags. The low 3 bits carry the DAC mask (R_OK|W_OK|X_OK
 #: ≤ 7) for permission checks; open() folds its flag word in higher
@@ -73,15 +70,14 @@ class FastVerdict:
     (with errno + attribution context), plus the audit row suffix
     recorded when the verdict is served from the table."""
 
-    __slots__ = ("inode", "errno", "context", "audit_suffix", "stamp")
+    __slots__ = ("inode", "errno", "context", "audit_suffix")
 
     def __init__(self, inode, errno, context: str,
-                 audit_suffix: Optional[Tuple], stamp: int):
+                 audit_suffix: Optional[Tuple]):
         self.inode = inode
         self.errno = errno
         self.context = context
         self.audit_suffix = audit_suffix
-        self.stamp = stamp
 
 
 class FastPathStats:
@@ -112,31 +108,24 @@ class FastPathTable:
         self.fault_site = fault_site
         self.enabled = True
         self.stats = FastPathStats()
-        self._table: "OrderedDict[Tuple, FastVerdict]" = OrderedDict()
-        # Reverse path->keys index: prefix invalidation drops exactly
-        # the affected entries instead of scanning the whole table.
-        self._index = PathIndex()
+        #: The verdict map. The hot syscalls (open, stat) probe it
+        #: directly: their warm path is this one dict ``get``.
+        self.table = PathCache(MAX_ENTRIES)
+        generations.subscribe_paths(self.invalidate_prefix)
+        generations.subscribe_flush(self._drop_stale)
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self.table)
 
     # ------------------------------------------------------------------
-    # The hot path. No move-to-end on hit: eviction is FIFO, which
-    # keeps the warm probe to one dict get and two int compares.
+    # The hot path: one dict get (a FIFO table never reorders on hit).
     # ------------------------------------------------------------------
     def get(self, key: Tuple) -> Optional[FastVerdict]:
-        stats = self.stats
-        entry = self._table.get(key)
+        entry = self.table.get(key)
         if entry is None:
-            stats.misses += 1
-            return None
-        if entry.stamp != self.generations.generation:
-            del self._table[key]
-            self._index.discard(key[1], key)
-            stats.stale_evictions += 1
-            stats.misses += 1
-            return None
-        stats.hits += 1
+            self.stats.misses += 1
+        else:
+            self.stats.hits += 1
         return entry
 
     def put(self, key: Tuple, inode, errno, context: str,
@@ -147,13 +136,7 @@ class FastPathTable:
             # we just decline to remember it.
             self.stats.alloc_failures += 1
             return
-        table = self._table
-        if len(table) >= MAX_ENTRIES:
-            evicted_key, _ = table.popitem(last=False)
-            self._index.discard(evicted_key[1], evicted_key)
-        table[key] = FastVerdict(inode, errno, context, audit_suffix,
-                                 self.generations.generation)
-        self._index.add(key[1], key)
+        self.table.put(key, FastVerdict(inode, errno, context, audit_suffix))
         self.stats.insertions += 1
 
     # ------------------------------------------------------------------
@@ -162,14 +145,16 @@ class FastPathTable:
     def invalidate_prefix(self, path: str) -> None:
         """Drop every verdict for *path* or anything beneath it (the
         hub's path fan-out lands here)."""
-        doomed = self._index.collect(path)
-        for key in doomed:
-            self._table.pop(key, None)
-        self.stats.invalidations += len(doomed)
+        self.stats.invalidations += self.table.invalidate_prefix(path)
+
+    def _drop_stale(self) -> None:
+        """A mount or policy bump (the hub's flush fan-out lands here):
+        every verdict may have changed."""
+        self.stats.stale_evictions += len(self.table)
+        self.table.clear()
 
     def flush(self) -> None:
-        self._table.clear()
-        self._index.clear()
+        self.table.clear()
         self.stats.flushes += 1
 
     # ------------------------------------------------------------------
@@ -177,10 +162,10 @@ class FastPathTable:
         """The /proc/protego/fastpath payload (matches the dcache /
         policy stat-file shape)."""
         s = self.stats
-        denials = sum(1 for v in self._table.values() if v.errno is not None)
+        denials = sum(1 for v in self.table.values() if v.errno is not None)
         rate = s.hits / s.lookups if s.lookups else 0.0
         return (
-            f"entries={len(self._table)} denials={denials} "
+            f"entries={len(self.table)} denials={denials} "
             f"max_entries={MAX_ENTRIES} enabled={int(self.enabled)}\n"
             f"{self.generations.render()}\n"
             f"lookups={s.lookups} hits={s.hits} misses={s.misses} "

@@ -3,25 +3,30 @@
 PRs 1–5 each grew an ad-hoc counter scheme: the dentry cache kept its
 own ``mount_epoch``, the security server minted credential epochs from
 a private ``itertools.count``, and policy reloads were only visible as
-whole-cache flushes. Three schemes is two too many once a single
-fused verdict table (:mod:`repro.kernel.fastpath`) has to know whether
-*any* of its dependencies moved.
+whole-cache flushes. The :class:`GenerationHub` folds them into named
+domains — ``mount``, ``policy``, ``cred`` — and is the one place the
+path-keyed caches learn that something they memoized went stale.
 
-The :class:`GenerationHub` folds them into named domains — ``mount``,
-``policy``, ``cred`` — plus one **composed generation**: a single
-monotonically-advancing integer bumped by any mount-table change or
-policy reload. A fused verdict stamps the composed generation at
-insert time; its staleness check is then one integer comparison,
-however many subsystems could have invalidated it. Credential commits
-deliberately do *not* advance the composed generation: the credential
-epoch is part of every fused key, so a setuid orphans its entries by
-keying rather than by stamping (bumping the world on every setuid
-would evict every other subject's verdicts).
+Two routes, one per kind of change:
 
-The hub is also the fan-out point for **path-prefix invalidation**:
-subscribers (the dentry cache and the fused table) receive every
-``invalidate_path`` a mutation syscall announces, so the syscall layer
-keeps its single invalidation call site per mutation.
+* **Flush.** A mount-table change or a policy reload can change the
+  answer for any path, so :meth:`GenerationHub.bump_mount` and
+  :meth:`GenerationHub.bump_policy` call every flush subscriber (the
+  fused verdict table), which empties itself — just as the dentry
+  cache empties its path map on a mount and the decision cache
+  empties itself on a reload. After boot a fleet day bumps the mount
+  generation a handful of times and the policy generation not at all,
+  so clearing eagerly is cheap, and it leaves a fused hit nothing to
+  compare.
+* **Path prefix.** Attribute changes and namespace mutations name the
+  path they touched: :meth:`GenerationHub.invalidate_path` hands it to
+  every path subscriber (the dentry cache, the decision cache and the
+  fused table), so each mutation has a single invalidation call site.
+
+Credential commits invalidate nothing: every key that depends on the
+caller's credentials carries its credential epoch, so a setuid
+orphans its own entries by keying (flushing would evict every other
+subject's entries too).
 """
 
 from __future__ import annotations
@@ -30,45 +35,43 @@ from typing import Callable, List
 
 
 class GenerationHub:
-    """Named generation domains plus one composed stamp.
+    """Named generation domains plus the two invalidation fan-outs.
 
-    * :attr:`mount` — the mount-table generation (the dcache's old
-      ``mount_epoch``); bumped by exactly 1 per mount/umount.
+    * :attr:`mount` — the mount-table generation; bumped by exactly 1
+      per mount/umount.
     * :attr:`policy` — the policy generation; bumped on every security
       server flush (profile (un)load, /proc policy write, module
       registration).
     * :attr:`cred` — the credential-epoch allocator; every credential
       commit (and every task creation) draws a fresh epoch so a
       ``(cred_epoch, cred)`` pair names one immutable subject identity.
-    * :attr:`generation` — the composed stamp: advanced by any mount
-      or policy bump. One ``int`` compare answers "did anything a
-      fused verdict depends on change?".
     """
 
-    __slots__ = ("mount", "policy", "cred", "generation", "_path_listeners")
+    __slots__ = ("mount", "policy", "cred", "_path_listeners",
+                 "_flush_listeners")
 
     def __init__(self) -> None:
         self.mount = 0
         self.policy = 0
         self.cred = 0
-        self.generation = 0
         self._path_listeners: List[Callable[[str], object]] = []
+        self._flush_listeners: List[Callable[[], object]] = []
 
     # ------------------------------------------------------------------
     # Domain bumps
     # ------------------------------------------------------------------
     def bump_mount(self) -> int:
-        """The mount table changed: every cached walk and every fused
-        verdict is suspect."""
+        """The mount table changed: every fused verdict is suspect."""
         self.mount += 1
-        self.generation += 1
+        for listener in self._flush_listeners:
+            listener()
         return self.mount
 
     def bump_policy(self) -> int:
-        """A policy layer reloaded: every cached decision and every
-        fused verdict is suspect."""
+        """A policy layer reloaded: every fused verdict is suspect."""
         self.policy += 1
-        self.generation += 1
+        for listener in self._flush_listeners:
+            listener()
         return self.policy
 
     def next_cred_epoch(self) -> int:
@@ -77,6 +80,10 @@ class GenerationHub:
         ``(cred_epoch, cred)`` can never alias two subjects."""
         self.cred += 1
         return self.cred
+
+    def subscribe_flush(self, listener: Callable[[], object]) -> None:
+        """Register a cache that empties on every mount or policy bump."""
+        self._flush_listeners.append(listener)
 
     # ------------------------------------------------------------------
     # Path-prefix invalidation fan-out
@@ -94,8 +101,7 @@ class GenerationHub:
     # ------------------------------------------------------------------
     def render(self) -> str:
         """One line of generation state (embedded in /proc payloads)."""
-        return (f"generation={self.generation} mount={self.mount} "
-                f"policy={self.policy} cred={self.cred}")
+        return f"mount={self.mount} policy={self.policy} cred={self.cred}"
 
     def __repr__(self) -> str:
         return f"GenerationHub({self.render()})"

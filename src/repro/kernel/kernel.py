@@ -69,9 +69,9 @@ class Kernel(SyscallMixin):
         # guarded by a single `site.armed` load when disarmed.
         self.faults = FaultInjector()
         # One generation authority for every access-relevant cache:
-        # mount and policy bumps advance a single composed generation
-        # the fused fast path stamps; credential epochs are minted here
-        # too so no two subjects ever share one.
+        # mount and policy bumps empty the fused fast path, path
+        # mutations fan out to every path-keyed cache, and credential
+        # epochs are minted here so no two subjects ever share one.
         self.generations = GenerationHub()
         self.vfs = VFS(generations=self.generations)
         self.devices = DeviceRegistry()
@@ -79,9 +79,9 @@ class Kernel(SyscallMixin):
         self.lsm = LSMChain()
         # The reference monitor: composes DAC + LSM chain + capability
         # checks, caches decisions, and keeps the audit ring behind
-        # /proc/protego/audit. One invalidate_object() per mutation
-        # reaches the dentry cache and the fused table through the
-        # hub's path fan-out.
+        # /proc/protego/audit. One generations.invalidate_path() per
+        # mutation reaches its decision cache, the dentry cache and the
+        # fused table through the hub's path fan-out.
         self.security_server = SecurityServer(self.lsm, clock_fn=self.now,
                                               generations=self.generations)
         # Bound-method shortcut for the fused open(2) hit path: the
@@ -90,12 +90,11 @@ class Kernel(SyscallMixin):
         self._audit_fused = self.security_server.audit.record_fused
         # The fused fast path: final open/stat/access verdicts keyed on
         # (op|mask, path, subject-id) — the sid interning (cred epoch,
-        # cred, exe) — guarded by the hub's composed generation; prefix
+        # cred, exe) — emptied by mount and policy bumps; prefix
         # invalidations arrive via the hub's path fan-out. The layered
         # walk below stays the oracle.
         self.fastpath = FastPathTable(
             self.generations, fault_site=self.faults.site(SITE_FASTPATH_INSERT))
-        self.generations.subscribe_paths(self.fastpath.invalidate_prefix)
         self._fp_sids: dict = {}
         self._fp_sid_iter = itertools.count(1).__next__
         # SFIP-style syscall-entry gating: per-task permitted-syscall
@@ -165,7 +164,7 @@ class Kernel(SyscallMixin):
             self.lay(posixpath.dirname(path), make_dir())
             parent, leaf = self.vfs.resolve_parent(path)
         parent.entries[leaf] = inode
-        self.security_server.invalidate_object(path)
+        self.generations.invalidate_path(path)
 
     # ------------------------------------------------------------------
     def tick(self, n: int = 1) -> int:

@@ -1,12 +1,14 @@
-"""A reverse index from object paths to cache keys.
+"""Bounded, path-indexed caches and the reverse index behind them.
 
 Every path-keyed cache in the kernel (the decision cache, the dentry
-cache, the fused fast-path table) supports *prefix invalidation*:
-"drop everything cached about ``/a/b`` or anything beneath it". The
-original implementations answered that with a full key scan — O(cache
-size) per namespace mutation, which the fleet engine's create/unlink
-churn turns into the single hottest path in the whole simulator
-(three ~full-table scans per mutation at ~12k keys each).
+cache, the fused fast-path table) is a :class:`PathCache`: a bounded
+FIFO map whose keys carry their object path at index 1. All three
+support *prefix invalidation*: "drop everything cached about ``/a/b``
+or anything beneath it". The original implementations answered that
+with a full key scan — O(cache size) per namespace mutation, which
+the fleet engine's create/unlink churn turns into the single hottest
+path in the whole simulator (three ~full-table scans per mutation at
+~12k keys each).
 
 :class:`PathIndex` makes invalidation proportional to the number of
 entries actually dropped. It keeps two maps:
@@ -25,11 +27,16 @@ the index without bound.
 Objects that are not absolute paths (capability and socket objects
 like ``cap:CAP_SYS_ADMIN``) have no parent and therefore only ever
 match exactly — the same outcome the prefix scan gave them.
+
+:class:`PathCache` keeps the table and its index in step: an entry
+leaves both together, whether FIFO eviction, a prefix invalidation or
+a clear drops it, so the index never names a key the table lacks.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from collections import OrderedDict
+from typing import Any, Dict, List, Set, Tuple
 
 
 class PathIndex:
@@ -109,3 +116,43 @@ class PathIndex:
 
     def __len__(self) -> int:
         return sum(len(group) for group in self._keys.values())
+
+
+class PathCache(OrderedDict):
+    """A bounded FIFO map from keys holding their path at index 1.
+
+    Lookups are the plain (C-level) ``get``; a hit does not reorder,
+    so the oldest insert is always the next eviction.
+    """
+
+    __slots__ = ("capacity", "index")
+
+    def __init__(self, capacity: int) -> None:
+        super().__init__()
+        self.capacity = capacity
+        self.index = PathIndex()
+
+    def put(self, key: Tuple, value: Any) -> None:
+        """Insert (or overwrite) *key*. Past capacity the oldest entry
+        leaves the table and the index together; overwriting a held
+        key grows nothing, so it evicts nothing."""
+        self[key] = value
+        self.index.add(key[1], key)
+        if len(self) > self.capacity:
+            oldest, _ = self.popitem(last=False)
+            self.index.discard(oldest[1], oldest)
+
+    def invalidate_prefix(self, path: str) -> int:
+        """Drop every entry for *path* or anything beneath it; return
+        how many were dropped. An empty table has an empty index, so
+        the walk is skipped."""
+        if not self:
+            return 0
+        doomed = self.index.collect(path)
+        for key in doomed:
+            del self[key]
+        return len(doomed)
+
+    def clear(self) -> None:
+        super().clear()
+        self.index.clear()

@@ -3,14 +3,17 @@
 Modelled on the SELinux AVC split: the *server* computes decisions by
 composing the LSM chain with the stock capability and DAC policies,
 and a keyed decision cache short-circuits repeated questions. The
-cache key is ``(subject identity, cred epoch, hook, object, mask)``;
-invalidation is explicit:
+cache is a :class:`~repro.kernel.pathindex.PathCache` (bounded, FIFO)
+keyed ``(hook, object, pid, cred epoch, cred, exe path, mask)``, with
+the object at index 1; invalidation is explicit:
 
 * a task's **cred epoch** is bumped on any setuid/setgid/setgroups or
   exec credential commit, orphaning every cached decision made under
   the old credentials;
-* **object entries** are flushed (by path prefix) on chmod, chown,
-  unlink, rename, and mount-table changes;
+* **object entries** are dropped by path prefix on chmod, chown,
+  unlink, rename, and mount-table changes: the cache subscribes to
+  the generation hub's path fan-out, like the dentry cache and the
+  fused table;
 * the cache is **flushed globally** when a security module's policy
   reloads — an AppArmor profile (un)load, a /proc/protego policy
   write, or a monitoring-daemon fstab/sudoers/bind sync.
@@ -21,7 +24,6 @@ surfaced at ``/proc/protego/audit``.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 from typing import Any, Callable, Optional, Tuple, TYPE_CHECKING
 
@@ -30,7 +32,7 @@ from repro.kernel.errno import Errno, SyscallError
 from repro.kernel.fault import SITE_AVC_ALLOC, FaultSite
 from repro.kernel.generations import GenerationHub
 from repro.kernel.lsm import HookResult, LSMChain
-from repro.kernel.pathindex import PathIndex
+from repro.kernel.pathindex import PathCache
 from repro.kernel.security.access import (
     OBJ,
     AccessRequest,
@@ -68,7 +70,7 @@ _FASTPATH_UNCACHEABLE_ERRNOS = frozenset({Errno.ENOTDIR, Errno.ELOOP})
 
 _SETUID_HOOKS = frozenset({"task_fix_setuid", "task_fix_setgid"})
 
-#: Decision-cache capacity (LRU) and audit-ring capacity.
+#: Decision-cache capacity (FIFO) and audit-ring capacity.
 CACHE_SIZE = 2048
 AUDIT_SIZE = 4096
 
@@ -81,6 +83,7 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     uncacheable: int = 0
+    #: Cached decisions dropped by path-prefix invalidations.
     invalidations: int = 0
     flushes: int = 0
     #: Insertions refused by an injected allocation failure: the
@@ -105,15 +108,13 @@ class SecurityServer:
         self.lsm = lsm
         self._clock = clock_fn or (lambda: 0)
         self.cache_enabled = True
-        self._cache: "collections.OrderedDict[Tuple, Decision]" = collections.OrderedDict()
-        # Reverse obj->keys index: object invalidation touches only
-        # the affected decisions, not the whole cache.
-        self._index = PathIndex()
+        self._cache = PathCache(CACHE_SIZE)
         #: Credential epochs come from the shared generation hub, so
         #: one allocator serves the decision cache, the dcache's
         #: permission maps, and the fused fast-path keys.
         self.generations = generations if generations is not None \
             else GenerationHub()
+        self.generations.subscribe_paths(self.invalidate_prefix)
         self.audit = AuditRing(AUDIT_SIZE)
         self.stats = CacheStats()
         #: Simulated AVC-node allocation failure: an armed site makes
@@ -132,7 +133,6 @@ class SecurityServer:
             hit = self._cache.get(key)
             if hit is not None:
                 self.stats.hits += 1
-                self._cache.move_to_end(key)
                 self._record(req, hit, cached=True)
                 return hit
             self.stats.misses += 1
@@ -157,11 +157,7 @@ class SecurityServer:
                 if self.fault_site.armed and self.fault_site.should_fail(req.hook):
                     self.stats.alloc_failures += 1
                 else:
-                    self._cache[key] = decision
-                    self._index.add(key[5], key)
-                    if len(self._cache) > CACHE_SIZE:
-                        evicted_key, _ = self._cache.popitem(last=False)
-                        self._index.discard(evicted_key[5], evicted_key)
+                    self._cache.put(key, decision)
         self._record(req, decision, cached=False)
         return decision
 
@@ -253,8 +249,8 @@ class SecurityServer:
         # captures every identity input (uids, gids, capability sets);
         # the epoch additionally orphans entries on credential commits.
         return (
-            task.pid, task.cred_epoch, task.cred, task.exe_path,
-            req.hook, req.obj, req.mask,
+            req.hook, req.obj, task.pid, task.cred_epoch, task.cred,
+            task.exe_path, req.mask,
         )
 
     def bump_cred_epoch(self, task: "Task") -> int:
@@ -262,36 +258,20 @@ class SecurityServer:
         (and fused verdict — the epoch is in both keys) made under
         *task*'s old credentials."""
         task.cred_epoch = self.generations.next_cred_epoch()
-        self.stats.invalidations += 1
         return task.cred_epoch
 
-    def invalidate_object(self, obj: str) -> int:
-        """Drop cached decisions about *obj* and (for paths) anything
-        beneath it — a chmod on a directory changes the search
-        permission of every descendant walk. Path invalidations fan
-        out through the generation hub to every path-keyed cache (the
-        dentry cache and the fused verdict table), so namespace
-        mutations clear stale (including negative) walk entries too."""
-        # An empty cache has an empty index (evictions and invalidations
-        # drop a key with its entry), so the boot image, which lays
-        # every node before any decision is cached, skips the walk.
-        stale = self._index.collect(obj) if self._cache else ()
-        for key in stale:
-            self._cache.pop(key, None)
-        if stale:
-            self.stats.invalidations += 1
-        if obj.startswith("/"):
-            self.generations.invalidate_path(obj)
-        return len(stale)
+    def invalidate_prefix(self, path: str) -> None:
+        """Drop cached decisions about *path* and anything beneath it —
+        a chmod on a directory changes the search permission of every
+        descendant walk (the hub's path fan-out lands here)."""
+        self.stats.invalidations += self._cache.invalidate_prefix(path)
 
     def flush(self, reason: str = "") -> None:
         """Global invalidation: a policy layer reloaded. The
-        policy-generation bump orphans every fused fast-path verdict
-        at once. The dentry cache stays warm: its walks and DAC
-        results depend only on credentials and inode generations,
-        never on LSM policy."""
+        policy-generation bump empties the fused fast path too. The
+        dentry cache stays warm: its walks and DAC results depend only
+        on credentials and inode generations, never on LSM policy."""
         self._cache.clear()
-        self._index.clear()
         self.stats.flushes += 1
         self.generations.bump_policy()
 

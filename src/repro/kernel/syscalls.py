@@ -15,8 +15,9 @@ layers in the paper's order:
 
 The server caches repeatable decisions (AVC-style) and appends every
 outcome to the audit ring behind ``/proc/protego/audit``; the syscall
-layer is responsible for telling it when objects change (chmod,
-unlink, mount) and when credentials commit (setuid, exec).
+layer is responsible for telling the generation hub when objects
+change (chmod, unlink, mount) and the server when credentials commit
+(setuid, exec).
 
 The eight system calls the paper changes — socket, bind, mount,
 umount, setuid, setgid, ioctl, and the exec-side enforcement of
@@ -309,48 +310,40 @@ class SyscallMixin:
             fp_key = (OP_OPEN | flags, path, sid)
             # FastPathTable.get inlined (keep in lockstep with
             # sys_stat's copy and the canonical method).
-            fstats = fastpath.stats
-            hit = fastpath._table.get(fp_key)
+            hit = fastpath.table.get(fp_key)
             if hit is not None:
-                if hit.stamp == self.generations.generation:
-                    fstats.hits += 1
-                    suffix = hit.audit_suffix
-                    if suffix is not None:
-                        # _fastpath_audit inlined (keep in lockstep).
-                        cred = task.cred
-                        self._audit_fused(self.clock, task.pid, cred.ruid,
-                                          cred.euid, suffix)
-                    if hit.errno is not None:
-                        raise SyscallError(hit.errno, hit.context)
-                    # _install_open_file inlined (keep in lockstep):
-                    # the allow-side tail is most of a fused open.
-                    inode = hit.inode
-                    if (flags & _O_TRUNC and inode.is_regular()
-                            and inode.read_fn is None):
-                        inode.write_bytes(b"")
-                    open_file = _OF_NEW(OpenFile)
-                    open_file.inode = inode
-                    open_file.flags = flags
-                    open_file.path = path
-                    open_file.offset = inode.size() if flags & _O_APPEND \
-                        else 0
-                    open_file.socket = None
-                    fdtable = task.fdtable
-                    files = fdtable._files
-                    fd = fdtable._next_fd
-                    while fd in files:
-                        fd += 1
-                    if fd >= fdtable.max_fds:
-                        raise SyscallError(Errno.EMFILE, "fd table full")
-                    files[fd] = open_file
-                    fdtable._next_fd = fd + 1
-                    return fd
-                del fastpath._table[fp_key]
-                fastpath._index.discard(path, fp_key)
-                fstats.stale_evictions += 1
-                fstats.misses += 1
-            else:
-                fstats.misses += 1
+                fastpath.stats.hits += 1
+                suffix = hit.audit_suffix
+                if suffix is not None:
+                    # _fastpath_audit inlined (keep in lockstep).
+                    cred = task.cred
+                    self._audit_fused(self.clock, task.pid, cred.ruid,
+                                      cred.euid, suffix)
+                if hit.errno is not None:
+                    raise SyscallError(hit.errno, hit.context)
+                # _install_open_file inlined (keep in lockstep): the
+                # allow-side tail is most of a fused open.
+                inode = hit.inode
+                if (flags & _O_TRUNC and inode.is_regular()
+                        and inode.read_fn is None):
+                    inode.write_bytes(b"")
+                open_file = _OF_NEW(OpenFile)
+                open_file.inode = inode
+                open_file.flags = flags
+                open_file.path = path
+                open_file.offset = inode.size() if flags & _O_APPEND else 0
+                open_file.socket = None
+                fdtable = task.fdtable
+                files = fdtable._files
+                fd = fdtable._next_fd
+                while fd in files:
+                    fd += 1
+                if fd >= fdtable.max_fds:
+                    raise SyscallError(Errno.EMFILE, "fd table full")
+                files[fd] = open_file
+                fdtable._next_fd = fd + 1
+                return fd
+            fastpath.stats.misses += 1
         accmode = flags & modes.O_ACCMODE
         mask = _ACCMODE_MASK[accmode]
         if (flags & modes.O_CREAT and flags & modes.O_EXCL
@@ -365,7 +358,7 @@ class SyscallMixin:
             )
             parent.entries[leaf] = created
             # The name now resolves: drop any stale decisions about it.
-            self.security_server.invalidate_object(path)
+            self.generations.invalidate_path(path)
 
         def dac() -> Inode:
             if created is not None:
@@ -514,23 +507,17 @@ class SyscallMixin:
             # FastPathTable.get inlined (keep in lockstep): the warm
             # probe is the whole point of the table, so the bound-method
             # call is a measurable share of a fused stat.
-            fstats = fastpath.stats
-            hit = fastpath._table.get(fp_key)
-            if (hit is not None
-                    and hit.stamp == self.generations.generation):
-                fstats.hits += 1
+            hit = fastpath.table.get(fp_key)
+            if hit is not None:
+                fastpath.stats.hits += 1
                 if hit.errno is not None:
                     raise SyscallError(hit.errno, hit.context)
                 inode = hit.inode
             else:
-                if hit is not None:
-                    del fastpath._table[fp_key]
-                    fastpath._index.discard(path, fp_key)
-                    fstats.stale_evictions += 1
-                fstats.misses += 1
+                fastpath.stats.misses += 1
                 # The oracle in verdict form: one cached walk plus the
                 # dependency bit saying whether it may be memoized.
-                inode, errno, context, (cacheable, _mount_gen) = \
+                inode, errno, context, cacheable = \
                     self.vfs.lookup_verdict(path, task.cred, modes.F_OK,
                                             cred_epoch=task.cred_epoch)
                 if cacheable:
@@ -564,7 +551,7 @@ class SyscallMixin:
         if leaf in parent.entries:
             raise SyscallError(Errno.EEXIST, path)
         parent.entries[leaf] = make_dir(uid=task.cred.fsuid, gid=task.cred.fsgid, perm=mode)
-        self.security_server.invalidate_object(path)
+        self.generations.invalidate_path(path)
 
     def sys_unlink(self, task: Task, path: str) -> None:
         self._enter(task, "unlink")
@@ -578,7 +565,7 @@ class SyscallMixin:
                     and not self.capable(task, Capability.CAP_FOWNER)):
                 raise SyscallError(Errno.EACCES, f"sticky dir protects {path}")
         parent.unlink(leaf)
-        self.security_server.invalidate_object(path)
+        self.generations.invalidate_path(path)
 
     def sys_symlink(self, task: Task, target: str, linkpath: str) -> None:
         self._enter(task, "symlink")
@@ -587,7 +574,7 @@ class SyscallMixin:
         if leaf in parent.entries:
             raise SyscallError(Errno.EEXIST, linkpath)
         parent.entries[leaf] = make_symlink(target, uid=task.cred.fsuid, gid=task.cred.fsgid)
-        self.security_server.invalidate_object(linkpath)
+        self.generations.invalidate_path(linkpath)
 
     def sys_chmod(self, task: Task, path: str, mode: int) -> None:
         self._enter(task, "chmod")
@@ -601,9 +588,8 @@ class SyscallMixin:
         # Permission bits changed: every cached decision about this
         # object (and, for a directory, every walk through it) is
         # stale; the generation bump orphans the dcache permission
-        # entries, the object invalidation (fanned out to the dcache
-        # through the hub) drops the path entries.
-        self.security_server.invalidate_object(path)
+        # entries, the hub's path fan-out drops the path-keyed ones.
+        self.generations.invalidate_path(path)
 
     def sys_chown(self, task: Task, path: str, uid: int, gid: int = -1) -> None:
         self._enter(task, "chown")
@@ -625,7 +611,7 @@ class SyscallMixin:
             inode.gid = gid
         inode.mtime += 1
         inode.generation += 1
-        self.security_server.invalidate_object(path)
+        self.generations.invalidate_path(path)
 
     def sys_link(self, task: Task, target: str, linkpath: str) -> None:
         """Hard link: same inode, another name; nlink bookkeeping."""
@@ -637,7 +623,7 @@ class SyscallMixin:
             raise SyscallError(Errno.EISDIR, target)
         parent, leaf = self._dir_write_permission(task, linkpath)
         parent.link(leaf, inode)
-        self.security_server.invalidate_object(linkpath)
+        self.generations.invalidate_path(linkpath)
 
     def sys_rename(self, task: Task, old_path: str, new_path: str) -> None:
         """rename(2); both parents need write permission; an existing
@@ -657,8 +643,8 @@ class SyscallMixin:
             new_parent.unlink(new_leaf)
         old_parent.unlink(old_leaf)
         new_parent.link(new_leaf, inode)
-        self.security_server.invalidate_object(old_path)
-        self.security_server.invalidate_object(new_path)
+        self.generations.invalidate_path(old_path)
+        self.generations.invalidate_path(new_path)
 
     def sys_rmdir(self, task: Task, path: str) -> None:
         self._enter(task, "rmdir")
@@ -672,7 +658,7 @@ class SyscallMixin:
         if self.vfs.mount_at(path) is not None:
             raise SyscallError(Errno.EBUSY, path)
         parent.unlink(leaf)
-        self.security_server.invalidate_object(path)
+        self.generations.invalidate_path(path)
 
     def sys_readdir(self, task: Task, path: str) -> List[str]:
         self._enter(task, "readdir")
@@ -801,7 +787,7 @@ class SyscallMixin:
         fs = self._filesystem_for(source, fstype, flags)
         self.vfs.attach(mountpoint, fs, flags, mounter_uid=task.cred.ruid)
         # The mount changes what every path beneath it resolves to.
-        self.security_server.invalidate_object(mountpoint)
+        self.generations.invalidate_path(mountpoint)
         self.log_audit("mount", task, f"{source} -> {mountpoint} ({fs.fstype})")
 
     def sys_umount(self, task: Task, mountpoint: str) -> None:
@@ -820,7 +806,7 @@ class SyscallMixin:
         if not decision.allowed:
             raise decision.denial()
         self.vfs.detach(mountpoint)
-        self.security_server.invalidate_object(mountpoint)
+        self.generations.invalidate_path(mountpoint)
         self.log_audit("umount", task, mountpoint)
 
     def _filesystem_for(self, source: str, fstype: str, flags: int) -> Filesystem:
@@ -1059,7 +1045,7 @@ class SyscallMixin:
         if not inode.is_regular():
             raise SyscallError(Errno.EINVAL, path)
         inode.file_caps = caps
-        self.security_server.invalidate_object(path)
+        self.generations.invalidate_path(path)
         self.log_audit("setcap", task, f"{path} += {len(caps)} caps")
 
     # ==================================================================

@@ -120,9 +120,6 @@ class VFS:
         self.generations = generations if generations is not None \
             else GenerationHub()
         self.dcache = DentryCache(generations=self.generations)
-        # Path-prefix invalidations reach the dcache the same way they
-        # reach every other path-keyed cache: through the hub.
-        self.generations.subscribe_paths(self.dcache.invalidate_prefix)
         # Longest-prefix trie over the mount table; each node maps a
         # path component to a child node, with the mount itself (if
         # any) stored under the "" key. Rebuilt on attach/detach —
@@ -161,8 +158,9 @@ class VFS:
         return mount
 
     def _note_mount_change(self) -> None:
-        """The mount table changed: bump the global mount epoch (which
-        orphans every cached walk) and rebuild the covering trie."""
+        """The mount table changed: bump the mount generation (which
+        empties the cached walks and the fused verdicts) and rebuild
+        the covering trie."""
         self.dcache.bump_mount_epoch()
         trie: Dict = {}
         for mp, mount in self.mounts.items():
@@ -271,21 +269,18 @@ class VFS:
         cred: Optional[Credentials] = None,
         mask: int = modes.F_OK,
         cred_epoch: int = 0,
-    ) -> Tuple[Optional[Inode], Optional[Errno], str, Tuple[bool, int]]:
+    ) -> Tuple[Optional[Inode], Optional[Errno], str, bool]:
         """:meth:`lookup` in verdict form: ``(inode-or-None, errno-or-
-        None, context, (cacheable, mount_generation))``. The trailing
-        dependency tuple tells a fused-table caller whether this walk
-        may be memoized under prefix invalidation and which mount
-        generation it observed — the ``(verdict, dependency-
-        generations)`` shape the fast path records."""
+        None, context, cacheable)``. The trailing flag tells a
+        fused-table caller whether this walk may be memoized under
+        prefix invalidation."""
         try:
             inode = self.lookup(path, cred=cred, mask=mask,
                                 cred_epoch=cred_epoch)
         except SyscallError as exc:
             return (None, exc.errno_value, exc.context,
-                    (self.walk_cached(path), self.generations.mount))
-        return (inode, None, "",
-                (self.walk_cached(path), self.generations.mount))
+                    self.walk_cached(path))
+        return (inode, None, "", self.walk_cached(path))
 
     def resolve(self, path: str, follow_final_symlink: bool = True) -> Inode:
         """Resolve with no permission enforcement (kernel-internal

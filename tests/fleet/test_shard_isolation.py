@@ -107,3 +107,19 @@ def test_churn_is_visible_on_the_mutated_shard():
     assert after["audit_seq"] > before["audit_seq"]
     assert after["mount_gen"] > before["mount_gen"]
     assert after["dc"] != before["dc"]
+
+
+def test_report_invalidations_sum_every_path_keyed_cache():
+    """ShardReport.invalidations is entries dropped, summed over the
+    fused table, the dcache path map and the decision cache."""
+    (shard,) = build_shards(SystemMode.PROTEGO, 1, tenants=TENANTS)
+    kernel = shard.kernel
+    caches = (kernel.fastpath.stats, kernel.vfs.dcache.stats,
+              kernel.security_server.stats)
+    shard.begin_run()
+    before = [stats.invalidations for stats in caches]
+    _churn(shard)
+    dropped = [stats.invalidations - base
+               for stats, base in zip(caches, before)]
+    assert all(dropped)
+    assert shard.report().invalidations == sum(dropped)

@@ -42,8 +42,9 @@ def alice(kernel):
 
 
 def cached_objects(kernel):
-    """The object identities currently in the decision cache."""
-    return {key[5] for key in kernel.security_server._cache}
+    """The object identities currently in the decision cache (every
+    path-keyed cache holds its key's object at index 1)."""
+    return {key[1] for key in kernel.security_server._cache}
 
 
 class TestDecisionCacheHits:

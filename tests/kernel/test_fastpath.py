@@ -5,11 +5,12 @@ layered caches:
 
 * warm stat/open/access served whole from the fused table — the
   dcache and decision cache are never consulted on a hit;
-* one composed generation: mount changes and policy reloads orphan
-  every fused entry with a single integer bump, credential commits
-  orphan by keying (fresh epoch) without evicting other subjects;
+* one flush rule: mount changes and policy reloads empty the table
+  through the hub's flush fan-out, credential commits orphan by
+  keying (fresh epoch) without evicting other subjects;
 * attribute and namespace mutations arrive as prefix invalidations
-  through the hub's path fan-out (chmod, create-over-negative);
+  through the hub's path fan-out (chmod, create-over-negative), and
+  every cache counts the entries they drop;
 * O_CREAT opens bypass the table entirely;
 * fused denials replay the layered errno, context, and audit row;
 * both new fault sites fail closed (a fault slows, never widens);
@@ -110,7 +111,7 @@ class TestFusedHits:
 
 
 # ======================================================================
-# Staleness: the composed generation
+# Staleness: mount and policy bumps flush, paths invalidate by prefix
 # ======================================================================
 class TestGenerationStaleness:
     def test_mount_orphans_every_fused_entry(self, kernel, root):
@@ -118,21 +119,33 @@ class TestGenerationStaleness:
         kernel.sys_stat(root, path)
         kernel.sys_stat(root, path)  # fused
         kernel.sys_mkdir(root, "/mnt2")
+        fp = kernel.fastpath
+        entries, stale_before = len(fp), fp.stats.stale_evictions
+        assert entries > 0
         kernel.sys_mount(root, "tmpfs", "/mnt2", "tmpfs")
-        stale_before = kernel.fastpath.stats.stale_evictions
-        kernel.sys_stat(root, path)  # stamp mismatch: layered re-walk
-        assert kernel.fastpath.stats.stale_evictions == stale_before + 1
+        # The mount bump empties the table; each dropped entry is stale.
+        assert len(fp) == 0
+        assert fp.stats.stale_evictions == stale_before + entries
+        misses_before = fp.stats.misses
+        kernel.sys_stat(root, path)  # layered re-walk, fused again
+        assert fp.stats.misses == misses_before + 1
+        assert len(fp) == 1
         kernel.sys_umount(root, "/mnt2")
-        kernel.sys_stat(root, path)
-        assert kernel.fastpath.stats.stale_evictions == stale_before + 2
+        assert len(fp) == 0
+        assert fp.stats.stale_evictions == stale_before + entries + 1
 
     def test_policy_flush_orphans_every_fused_entry(self, kernel, root):
         path = _deep_file(kernel, root)
         kernel.sys_stat(root, path)
+        fp = kernel.fastpath
+        entries, stale_before = len(fp), fp.stats.stale_evictions
+        assert entries > 0
         kernel.security_server.flush()
-        stale_before = kernel.fastpath.stats.stale_evictions
+        assert len(fp) == 0
+        assert fp.stats.stale_evictions == stale_before + entries
+        misses_before = fp.stats.misses
         kernel.sys_stat(root, path)
-        assert kernel.fastpath.stats.stale_evictions == stale_before + 1
+        assert fp.stats.misses == misses_before + 1
 
     def test_chmod_invalidates_by_prefix(self, kernel, root, alice):
         kernel.sys_mkdir(root, "/pub", mode=0o755)
@@ -148,11 +161,14 @@ class TestGenerationStaleness:
         task = kernel.root_task("setuid-shell")  # holds CAP_SETUID
         kernel.sys_stat(task, path)
         kernel.sys_stat(root, path)
-        generation = kernel.generations.generation
+        hub = kernel.generations
+        generations = (hub.mount, hub.policy)
+        entries = len(kernel.fastpath)
         kernel.sys_setuid(task, 1000)
-        # The composed generation did not move: other subjects' fused
+        # No mount or policy bump, so no flush: other subjects' fused
         # entries survive the credential commit.
-        assert kernel.generations.generation == generation
+        assert (hub.mount, hub.policy) == generations
+        assert len(kernel.fastpath) == entries
         hits_before = kernel.fastpath.stats.hits
         kernel.sys_stat(root, path)
         assert kernel.fastpath.stats.hits == hits_before + 1
@@ -160,6 +176,37 @@ class TestGenerationStaleness:
         misses_before = kernel.fastpath.stats.misses
         kernel.sys_stat(task, path)
         assert kernel.fastpath.stats.misses == misses_before + 1
+
+    def test_invalidations_count_the_entries_each_cache_drops(self, kernel,
+                                                              root, alice):
+        kernel.sys_mkdir(root, "/d", mode=0o755)
+        for name in ("a", "b", "c"):
+            kernel.write_file(root, f"/d/{name}", b"x")
+            kernel.sys_chmod(root, f"/d/{name}", 0o644)
+        for task in (root, alice):
+            for name in ("a", "b", "c"):
+                kernel.sys_stat(task, f"/d/{name}")
+                assert kernel.sys_access(task, f"/d/{name}", modes.R_OK)
+        caches = {"fused": (kernel.fastpath, kernel.fastpath.table),
+                  "dcache": (kernel.vfs.dcache, kernel.vfs.dcache._entries),
+                  "avc": (kernel.security_server,
+                          kernel.security_server._cache)}
+        under_d = {name: sum(1 for key in table
+                             if key[1] == "/d" or key[1].startswith("/d/"))
+                   for name, (_, table) in caches.items()}
+        before = {name: owner.stats.invalidations
+                  for name, (owner, _) in caches.items()}
+        kernel.sys_chmod(root, "/d", 0o700)
+        moved = {name: owner.stats.invalidations - before[name]
+                 for name, (owner, _) in caches.items()}
+        # Each counter moves by the entries its cache dropped, not by
+        # the number of invalidation calls.
+        assert moved == under_d
+        assert min(moved.values()) > 1
+        # A credential commit drops nothing, so it counts nothing.
+        avc_before = kernel.security_server.stats.invalidations
+        kernel.sys_setuid(kernel.root_task("su"), 1000)
+        assert kernel.security_server.stats.invalidations == avc_before
 
 
 # ======================================================================
@@ -342,18 +389,24 @@ class TestEntryGate:
 # The generation hub
 # ======================================================================
 class TestGenerationHub:
-    def test_mount_and_policy_advance_the_composed_generation(self):
+    def test_mount_and_policy_bumps_flush_every_subscriber(self):
         hub = GenerationHub()
+        flushed = []
+        hub.subscribe_flush(lambda: flushed.append("a"))
+        hub.subscribe_flush(lambda: flushed.append("b"))
         assert hub.bump_mount() == 1
-        assert hub.generation == 1
+        assert flushed == ["a", "b"]
         assert hub.bump_policy() == 1
-        assert hub.generation == 2
+        assert flushed == ["a", "b", "a", "b"]
 
     def test_cred_epochs_are_unique_and_do_not_advance(self):
         hub = GenerationHub()
+        flushed = []
+        hub.subscribe_flush(lambda: flushed.append(True))
         epochs = {hub.next_cred_epoch() for _ in range(5)}
         assert len(epochs) == 5
-        assert hub.generation == 0
+        assert (hub.mount, hub.policy) == (0, 0)
+        assert flushed == []
 
     def test_path_fanout_reaches_every_subscriber(self):
         hub = GenerationHub()
@@ -378,10 +431,10 @@ class TestGenerationHub:
 # ======================================================================
 class TestVerdictForms:
     def test_lookup_verdict_reports_errno_without_raising(self, kernel, root):
-        inode, errno, _context, (cacheable, mount_gen) = \
+        inode, errno, _context, cacheable = \
             kernel.vfs.lookup_verdict("/nope", root.cred)
         assert inode is None and errno == Errno.ENOENT
-        assert cacheable and mount_gen == kernel.generations.mount
+        assert cacheable
 
 
 # ======================================================================
@@ -396,7 +449,7 @@ class TestFastpathProcFile:
         kernel.sys_stat(root, "/etc/fstab")
         text = kernel.read_file(root, FASTPATH_PROC_PATH).decode()
         assert "entries=" in text and "hit_rate=" in text
-        assert "generation=" in text and "mount=" in text
+        assert "mount=" in text and "policy=" in text
         assert "entry_checks=" in text and "bitmask_rejections=" in text
         assert "stale_evictions=" in text
 

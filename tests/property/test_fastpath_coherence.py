@@ -9,12 +9,13 @@ lookups from three subjects, and demands that **every** fused outcome
 (success attributes or errno) equals the uncached layered outcome, for
 over a thousand seeded rounds per run.
 
-Any missed invalidation edge — a mutation the composed generation or
-the prefix fan-out fails to cover — surfaces here as a divergence with
-the seed, round, task, and path in the failure message. After every
-round the table's reverse path index must also name only keys the
-table still holds: an eviction that skips the index leaves a dangling
-key behind.
+Any missed invalidation edge — a mutation the flush or prefix
+fan-out fails to cover — surfaces here as a divergence with the seed,
+round, task, and path in the failure message. After every round each
+path-keyed cache's reverse path index (the fused table's, the
+dcache's and the decision cache's) must also name only keys its table
+still holds: an eviction that skips the index leaves a dangling key
+behind.
 """
 
 import random
@@ -55,11 +56,19 @@ def _oracle(kernel, fn):
         dcache.enabled = dcache_saved
 
 
-def _dangling_index_keys(fastpath):
-    """Keys the fused table's reverse index holds for entries the table
-    no longer has."""
-    return sorted(key for group in fastpath._index._keys.values()
-                  for key in group if key not in fastpath._table)
+def _dangling_index_keys(kernel):
+    """Keys a path-keyed cache's reverse index holds for entries its
+    table no longer has, named by cache."""
+    tables = {"fused": kernel.fastpath.table,
+              "dcache": kernel.vfs.dcache._entries,
+              "avc": kernel.security_server._cache}
+    dangling = {}
+    for name, table in tables.items():
+        keys = [key for group in table.index._keys.values()
+                for key in group if key not in table]
+        if keys:
+            dangling[name] = keys
+    return dangling
 
 
 def _build_world(kernel, root):
@@ -164,7 +173,7 @@ def test_fused_verdicts_match_the_layered_oracle(seed):
             divergences.append(
                 f"seed={seed} round={round_no} task={task_name} "
                 f"path={path}: fused={fused} oracle={oracle}")
-        dangling = _dangling_index_keys(kernel.fastpath)
+        dangling = _dangling_index_keys(kernel)
         if dangling and index_drift is None:
             index_drift = f"seed={seed} round={round_no}: {dangling}"
 
