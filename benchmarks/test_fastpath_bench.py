@@ -4,10 +4,11 @@ Repeatedly stats, opens, and access-checks a file deep in the tree
 with the fused verdict table enabled and disabled. With the table off
 a warm call still pays the full layered stack — dcache probe plus
 per-directory permission revalidation, decision-cache probe, audit
-append; with it on, the whole access is one dict get and two integer
-compares. The layered stack stays warm in both passes, so the
-measured ratio is fused-probe vs. layered-warm — the end-to-end win
-this PR claims, not a cold-walk strawman.
+append; with it on, the whole access is two identity compares (the
+task's cached subject id is still current) and one dict get. The
+layered stack stays warm in both passes, so the measured ratio is
+fused-probe vs. layered-warm — the end-to-end win the table exists
+for, not a cold-walk strawman.
 
 The acceptance bar is a >= 3x speedup on warm stat and open/close.
 Results land in ``BENCH_fastpath.json`` at the repo root (for

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from benchmarks.conftest import bench_scale
 from repro.core import System, SystemMode
-from repro.kernel.dcache import MAX_CREDS, DentryCache
+from repro.kernel.dcache import MAX_CREDS, MAX_ENTRIES, DentryCache
 from repro.kernel.security.server import (
     _FASTPATH_UNCACHEABLE_ERRNOS,
     _UNCACHEABLE_ERRNOS,
@@ -43,20 +43,21 @@ def _put_unguarded(self, path, follow, entry):
     self._entries.put((follow, path), entry)
 
 
-def _perms_for_unguarded(self, cred_epoch, cred):
+def _perms_for_unguarded(self, cred):
     last = self._last_perms
-    if (last is not None and last[0] == cred_epoch
-            and last[1] is cred):
-        return last[2]
-    key = (cred_epoch, cred)
-    perms = self._perms.get(key)
-    if perms is None:
-        perms = self._perms[key] = {}
-        if len(self._perms) > MAX_CREDS:
-            self._perms.popitem(last=False)
+    if last is not None and last[0] is cred:
+        perms = last[1]
     else:
-        self._perms.move_to_end(key)
-    self._last_perms = (cred_epoch, cred, perms)
+        perms = self._perms.get(cred)
+        if perms is None:
+            perms = self._perms[cred] = {}
+            if len(self._perms) > MAX_CREDS:
+                self._perms.popitem(last=False)
+        else:
+            self._perms.move_to_end(cred)
+        self._last_perms = (cred, perms)
+    if len(perms) > MAX_ENTRIES:
+        perms.clear()
     return perms
 
 

@@ -252,10 +252,6 @@ class ProtegoLSM(SecurityModule):
             return SetuidDecision.deny()
         if any(rule.unrestricted() for rule in usable):
             return SetuidDecision.allow()
-        commands: List[str] = []
-        for rule in usable:
-            commands.extend(c for c in rule.positive_commands
-                            if c != ALL and c not in commands)
         # Rules that were not unlocked here may still authorize the
         # exec'd binary after an authentication step at exec time —
         # unless the user just failed/satisfied a prompt covering them.
@@ -263,8 +259,6 @@ class ProtegoLSM(SecurityModule):
             r for r in rules if r not in usable)
         pending = PendingSetuid(
             target_uid=target_uid,
-            allowed_binaries=tuple(commands),
-            rule=usable[0],
             locked_rules=locked,
             usable_rules=tuple(usable),
         )
@@ -299,18 +293,11 @@ class ProtegoLSM(SecurityModule):
         pending: Optional[PendingSetuid] = task.getsec("protego", "pending_setuid")
         if pending is None:
             return HookResult.PASS
-        if pending.usable_rules:
-            # Whole-rule validation: each rule's own `!` carve-outs
-            # veto before its positive side can grant.
-            for rule in pending.usable_rules:
-                if rule_covers_exec(rule, path, argv):
-                    return HookResult.PASS
-        else:
-            # Compatibility path for transitions parked without rule
-            # context (hand-built PendingSetuid blobs in tests).
-            for spec in pending.allowed_binaries:
-                if command_matches(spec, path, argv):
-                    return HookResult.PASS
+        # Whole-rule validation: each rule's own `!` carve-outs veto
+        # before its positive side can grant.
+        for rule in pending.usable_rules:
+            if rule_covers_exec(rule, path, argv):
+                return HookResult.PASS
         # A rule that still needs authentication may cover this binary;
         # the trusted service prompts *now* — "the authentication
         # service may also ask for the target user's password at this

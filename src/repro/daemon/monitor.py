@@ -80,12 +80,11 @@ class MonitoringDaemon:
     ``/proc/protego/status``).
     """
 
-    def __init__(self, kernel: Kernel, enable_fragment_sync: bool = True,
+    def __init__(self, kernel: Kernel,
                  status_board: Optional[PolicyStatusBoard] = None):
         self.kernel = kernel
         self.userdb = UserDatabase(kernel)
         self.watcher = FileWatcher(kernel)
-        self.enable_fragment_sync = enable_fragment_sync
         self.status = status_board if status_board is not None else PolicyStatusBoard()
         self.sync_log: List[str] = []
         self.error_log: List[str] = []
@@ -105,11 +104,10 @@ class MonitoringDaemon:
         self.watcher.watch_file(BIND_PATH, self._on_bind)
         self.watcher.watch_file(POLKIT_RULES_PATH, self._on_polkit)
         self.watcher.watch_file(DBUS_SERVICES_PATH, self._on_polkit)
-        if self.enable_fragment_sync:
-            self.watcher.watch_dir(PASSWD_FRAGMENT_DIR, self._on_passwd_fragment)
-            self.watcher.watch_dir(SHADOW_FRAGMENT_DIR, self._on_shadow_fragment)
-            self.watcher.watch_dir(GROUP_FRAGMENT_DIR, self._on_group_fragment)
-            self.watcher.watch_file("/etc/passwd", self._on_legacy_passwd)
+        self.watcher.watch_dir(PASSWD_FRAGMENT_DIR, self._on_passwd_fragment)
+        self.watcher.watch_dir(SHADOW_FRAGMENT_DIR, self._on_shadow_fragment)
+        self.watcher.watch_dir(GROUP_FRAGMENT_DIR, self._on_group_fragment)
+        self.watcher.watch_file("/etc/passwd", self._on_legacy_passwd)
         self._installed = True
 
     def attach_route_policy(self, route_policy) -> None:

@@ -40,10 +40,11 @@ class Credentials:
     cap_inheritable: CapabilitySet = dataclasses.field(default_factory=CapabilitySet.empty)
 
     def __hash__(self) -> int:
-        # Credentials key both the decision cache and the dentry
-        # permission cache, so they are hashed on every cached syscall;
-        # the snapshot is immutable, so compute the field-tuple hash
-        # once and pin it (dataclasses keeps an explicit __hash__).
+        # Credentials key the subject-id table and the dentry
+        # permission cache, so they are hashed whenever a task's
+        # credentials change and on every permission-map probe; the
+        # snapshot is immutable, so compute the field-tuple hash once
+        # and pin it (dataclasses keeps an explicit __hash__).
         cached = self.__dict__.get("_hash")
         if cached is None:
             cached = hash((self.ruid, self.euid, self.suid, self.fsuid,

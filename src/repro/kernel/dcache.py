@@ -15,20 +15,23 @@ walk the way Linux's dcache does. The path map is a
   (chmod/chown) drops the path's entries and every descendant's. The
   cache subscribes it to the generation hub's path fan-out, so the
   syscall layer keeps a single invalidation call site per mutation.
-* **cred epoch** — permission entries are keyed on the caller's
-  credential epoch (bumped by setuid/setgid/setgroups/exec commits),
-  so a credential change orphans its permission entries without
-  touching the credential-independent path map.
+* **inode generation** — permission entries are keyed on each
+  inode's generation, which chmod and chown bump, so an attribute
+  change orphans them without touching the credential-independent
+  path map.
 
-A cached walk stores the final inode *and* the chain of directories
-traversed, so a hit revalidates search permission per directory from
-the permission cache — `(inode generation, X_OK)` under the caller's
-`(cred epoch, cred)` — instead of re-walking. Negative entries
-memoize ENOENT (and only ENOENT: the repeated `exists()` probes of
-O_CREAT opens and daemon polls), and are cleared by the prefix
-invalidation any create performs. Walks that cross a symlink are
-never cached: their result depends on paths other than the key, which
-prefix invalidation could not see.
+Permission maps are keyed on the caller's ``Credentials`` alone: they
+are frozen and hash by value, and DAC ignores which binary asks, so
+every task holding equal credentials shares one map and a setuid
+simply selects another. A cached walk stores the final inode *and*
+the chain of directories traversed, so a hit revalidates search
+permission per directory from the permission cache — `(inode
+generation, X_OK)` under the caller's credentials — instead of
+re-walking. Negative entries memoize ENOENT (and only ENOENT: the
+repeated existence probes of O_CREAT opens and daemon polls), and are
+cleared by the prefix invalidation any create performs. Walks that
+cross a symlink are never cached: their result depends on paths other
+than the key, which prefix invalidation could not see.
 
 Counters mirror ``/sys/kernel/debug``-style dcache stats and are
 rendered at ``/proc/protego/dcache`` next to the audit ring.
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.kernel.errno import Errno
 from repro.kernel.fault import SITE_DCACHE_ALLOC, FaultSite
@@ -46,12 +49,15 @@ from repro.kernel.generations import GenerationHub
 from repro.kernel.inode import Inode
 from repro.kernel.pathindex import PathCache
 
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.kernel.cred import Credentials
+
 #: Sentinel distinguishing "no cached permission entry" from a cached
 #: ALLOW (stored as None).
 PERM_MISS = object()
 
-#: Path-map capacity (FIFO) and the number of credential generations
-#: whose permission maps are kept (LRU).
+#: Path-map capacity (FIFO) and the number of credentials whose
+#: permission maps are kept (LRU).
 MAX_ENTRIES = 4096
 MAX_CREDS = 256
 
@@ -126,12 +132,12 @@ class DentryCache:
             else GenerationHub()
         self._entries = PathCache(MAX_ENTRIES)
         self.generations.subscribe_paths(self.invalidate_prefix)
-        #: (cred_epoch, cred) -> {(ino, generation, mask) -> errno|None}
-        self._perms: "collections.OrderedDict[Tuple, Dict]" = \
+        #: cred -> {(ino, generation, mask) -> errno|None}
+        self._perms: "collections.OrderedDict[Credentials, Dict]" = \
             collections.OrderedDict()
-        #: One-slot (epoch, cred, map) memo for the last caller: the
-        #: identity check skips the keyed probe, whose equal-hash
-        #: collisions pay a full credential comparison per lookup.
+        #: One-slot (cred, map) memo for the last caller: the identity
+        #: check skips the keyed probe, whose equal-value hits from
+        #: other tasks pay a full credential comparison per lookup.
         self._last_perms: Optional[Tuple] = None
         self.stats = DcacheStats()
         #: Simulated dentry-allocation failure: an armed site makes
@@ -160,27 +166,31 @@ class DentryCache:
     # ------------------------------------------------------------------
     # Permission cache
     # ------------------------------------------------------------------
-    def perms_for(self, cred_epoch: int, cred) -> Dict:
-        """The permission map for one credential generation; created on
-        first use, LRU-bounded across credentials."""
+    def perms_for(self, cred: "Credentials") -> Dict:
+        """The permission map for one credential value; created on
+        first use, LRU-bounded across credentials. Every task holding
+        these credentials shares the map for as long as any lives, so
+        a map that outgrows the path map's capacity is emptied rather
+        than left to keep every walk and inode it ever validated."""
         last = self._last_perms
-        if (last is not None and last[0] == cred_epoch
-                and last[1] is cred):
-            return last[2]
-        key = (cred_epoch, cred)
-        perms = self._perms.get(key)
-        if perms is None:
-            if self.fault_site.armed and self.fault_site.should_fail():
-                # Simulated allocation failure: hand back a throwaway
-                # map — this walk's checks run uncached but correct.
-                self.stats.alloc_failures += 1
-                return {}
-            perms = self._perms[key] = {}
-            if len(self._perms) > MAX_CREDS:
-                self._perms.popitem(last=False)
+        if last is not None and last[0] is cred:
+            perms = last[1]
         else:
-            self._perms.move_to_end(key)
-        self._last_perms = (cred_epoch, cred, perms)
+            perms = self._perms.get(cred)
+            if perms is None:
+                if self.fault_site.armed and self.fault_site.should_fail():
+                    # Simulated allocation failure: hand back a throwaway
+                    # map — this walk's checks run uncached but correct.
+                    self.stats.alloc_failures += 1
+                    return {}
+                perms = self._perms[cred] = {}
+                if len(self._perms) > MAX_CREDS:
+                    self._perms.popitem(last=False)
+            else:
+                self._perms.move_to_end(cred)
+            self._last_perms = (cred, perms)
+        if len(perms) > MAX_ENTRIES:
+            perms.clear()
         return perms
 
     # ------------------------------------------------------------------

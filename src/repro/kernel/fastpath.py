@@ -17,16 +17,17 @@ Key: ``(op|mask, path, sid)``.
 * ``path`` — the normalized absolute path, kept at index 1 so the
   table's :class:`~repro.kernel.pathindex.PathCache` reverse-indexes
   it and a prefix invalidation drops exactly the affected verdicts.
-* ``sid`` — the subject id: a never-reused integer the kernel interns
-  for each distinct ``(cred_epoch, cred, exe_path)`` triple (see
-  ``SyscallMixin._fp_subject``). Epochs are minted by the
-  :class:`~repro.kernel.generations.GenerationHub` and never reused,
-  so an epoch names one immutable credential commit; the credential
-  object and exe path complete the triple for tasks constructed
-  outside the kernel's epoch discipline. Hashing the interned int per
-  probe replaces re-hashing the credential snapshot, and ``exe_path``
-  matters because Protego's binary ACLs make the verdict depend on
-  *which program* is asking, not just whose uid.
+* ``sid`` — the subject id that
+  :meth:`~repro.kernel.generations.GenerationHub.subject` interns for
+  the value of ``(task.cred, task.exe_path)``; the decision cache keys
+  on the same integer. Tasks in one context share a SID, so a second
+  session's first open can be a hit. A probe reuses the SID cached on
+  the task while the task's credentials and executable are the very
+  objects it was minted for (two identity compares) and re-interns
+  otherwise. Hashing the interned int per probe replaces re-hashing
+  the credential snapshot, and ``exe_path`` matters because Protego's
+  binary ACLs make the verdict depend on *which program* is asking,
+  not just whose uid.
 
 Staleness never reaches the probe. Any mount-table change or policy
 reload empties the table through the hub's flush fan-out (the dropped

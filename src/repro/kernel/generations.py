@@ -5,7 +5,8 @@ own ``mount_epoch``, the security server minted credential epochs from
 a private ``itertools.count``, and policy reloads were only visible as
 whole-cache flushes. The :class:`GenerationHub` folds them into named
 domains — ``mount``, ``policy``, ``cred`` — and is the one place the
-path-keyed caches learn that something they memoized went stale.
+path-keyed caches learn that something they memoized went stale, and
+the one place a subject id is minted.
 
 Two routes, one per kind of change:
 
@@ -23,15 +24,23 @@ Two routes, one per kind of change:
   every path subscriber (the dentry cache, the decision cache and the
   fused table), so each mutation has a single invalidation call site.
 
-Credential commits invalidate nothing: every key that depends on the
-caller's credentials carries its credential epoch, so a setuid
-orphans its own entries by keying (flushing would evict every other
-subject's entries too).
+Credential commits invalidate nothing. Every key that depends on who
+asks carries a **subject id** (SID) that :meth:`GenerationHub.subject`
+interns from the *value* of ``(task.cred, task.exe_path)``, as SELinux
+interns security contexts. A setuid or an exec hands the task a
+different context, hence a different SID, so its old entries are
+orphaned by keying (flushing would evict every other subject's entries
+too), while two sessions of one user running one binary share a SID
+and therefore share their cached verdicts.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Callable, Dict, List, Tuple, TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.kernel.cred import Credentials
+    from repro.kernel.task import Task
 
 
 class GenerationHub:
@@ -42,18 +51,20 @@ class GenerationHub:
     * :attr:`policy` — the policy generation; bumped on every security
       server flush (profile (un)load, /proc policy write, module
       registration).
-    * :attr:`cred` — the credential-epoch allocator; every credential
-      commit (and every task creation) draws a fresh epoch so a
-      ``(cred_epoch, cred)`` pair names one immutable subject identity.
+    * :attr:`cred` — the subject-id allocator: the number of distinct
+      ``(credentials, executable)`` contexts :meth:`subject` has seen.
     """
 
-    __slots__ = ("mount", "policy", "cred", "_path_listeners",
+    __slots__ = ("mount", "policy", "cred", "_sids", "_path_listeners",
                  "_flush_listeners")
 
     def __init__(self) -> None:
         self.mount = 0
         self.policy = 0
         self.cred = 0
+        #: (Credentials, exe_path) -> SID. One entry per context ever
+        #: seen, never cleared: a fleet shard sees about twenty.
+        self._sids: Dict[Tuple["Credentials", str], int] = {}
         self._path_listeners: List[Callable[[str], object]] = []
         self._flush_listeners: List[Callable[[], object]] = []
 
@@ -75,11 +86,31 @@ class GenerationHub:
         return self.policy
 
     def next_cred_epoch(self) -> int:
-        """Mint a fresh credential epoch (a credential commit or a new
-        task). Epochs are globally unique, so a fused key carrying
-        ``(cred_epoch, cred)`` can never alias two subjects."""
+        """Allocate the next subject id (called by :meth:`subject` only)."""
         self.cred += 1
         return self.cred
+
+    def subject(self, task: "Task") -> int:
+        """*task*'s subject id: the SID interned for the value of
+        ``(task.cred, task.exe_path)``. ``Credentials`` are frozen and
+        hash by value, so equal contexts share one SID however their
+        objects were built.
+
+        The SID is cached on the task with the two objects it was
+        minted for. A caller reuses ``task.sid`` while both are still
+        the task's own (``task.sid_cred is task.cred and task.sid_exe
+        is task.exe_path``) and calls this otherwise, so a setuid, an
+        exec or a direct assignment is noticed on the next probe."""
+        cred = task.cred
+        exe = task.exe_path
+        key = (cred, exe)
+        sid = self._sids.get(key)
+        if sid is None:
+            sid = self._sids[key] = self.next_cred_epoch()
+        task.sid = sid
+        task.sid_cred = cred
+        task.sid_exe = exe
+        return sid
 
     def subscribe_flush(self, listener: Callable[[], object]) -> None:
         """Register a cache that empties on every mount or policy bump."""

@@ -70,8 +70,8 @@ class Kernel(SyscallMixin):
         self.faults = FaultInjector()
         # One generation authority for every access-relevant cache:
         # mount and policy bumps empty the fused fast path, path
-        # mutations fan out to every path-keyed cache, and credential
-        # epochs are minted here so no two subjects ever share one.
+        # mutations fan out to every path-keyed cache, and subject ids
+        # are interned here, one per (credentials, executable) context.
         self.generations = GenerationHub()
         self.vfs = VFS(generations=self.generations)
         self.devices = DeviceRegistry()
@@ -89,14 +89,11 @@ class Kernel(SyscallMixin):
         # attribute hops per audit replay collapse to one load.
         self._audit_fused = self.security_server.audit.record_fused
         # The fused fast path: final open/stat/access verdicts keyed on
-        # (op|mask, path, subject-id) — the sid interning (cred epoch,
-        # cred, exe) — emptied by mount and policy bumps; prefix
-        # invalidations arrive via the hub's path fan-out. The layered
-        # walk below stays the oracle.
+        # (op|mask, path, sid), emptied by mount and policy bumps;
+        # prefix invalidations arrive via the hub's path fan-out. The
+        # layered walk below stays the oracle.
         self.fastpath = FastPathTable(
             self.generations, fault_site=self.faults.site(SITE_FASTPATH_INSERT))
-        self._fp_sids: dict = {}
-        self._fp_sid_iter = itertools.count(1).__next__
         # SFIP-style syscall-entry gating: per-task permitted-syscall
         # bitmasks checked before argument processing.
         self.entry_gate = EntryGate(self.faults.site(SITE_ENTRY_MASK))
@@ -137,7 +134,6 @@ class Kernel(SyscallMixin):
 
     def _spawn_init(self) -> Task:
         init = Task(self._next_pid(), Credentials.for_root(), comm="init")
-        init.cred_epoch = self.generations.next_cred_epoch()
         self.tasks[init.pid] = init
         return init
 
@@ -196,7 +192,6 @@ class Kernel(SyscallMixin):
                  parent: Optional[Task] = None, tty: Optional[object] = None) -> Task:
         """Create a task directly (a login session root, a daemon)."""
         task = Task(self._next_pid(), cred, parent=parent or self.init, comm=comm)
-        task.cred_epoch = self.generations.next_cred_epoch()
         task.tty = tty
         self.tasks[task.pid] = task
         (parent or self.init).children.append(task)

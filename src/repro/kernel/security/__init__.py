@@ -6,8 +6,8 @@ Public surface:
   questions and attributed answers (which layer decided: DAC,
   capability, apparmor, protego);
 * :class:`SecurityServer` — the single composition point for
-  DAC + LSM chain + capability checks, with a keyed decision cache
-  and explicit invalidation (cred epochs, object flushes, global
+  DAC + LSM chain + capability checks, with a decision cache keyed
+  on subject ids and explicit invalidation (object flushes, global
   policy-reload flushes);
 * :class:`AuditRing` / :class:`AuditEntry` — the bounded decision
   trail behind ``/proc/protego/audit``.

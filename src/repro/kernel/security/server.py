@@ -4,12 +4,15 @@ Modelled on the SELinux AVC split: the *server* computes decisions by
 composing the LSM chain with the stock capability and DAC policies,
 and a keyed decision cache short-circuits repeated questions. The
 cache is a :class:`~repro.kernel.pathindex.PathCache` (bounded, FIFO)
-keyed ``(hook, object, pid, cred epoch, cred, exe path, mask)``, with
-the object at index 1; invalidation is explicit:
+keyed ``(hook, object, sid, mask)``, with the object at index 1. The
+**subject id** is the one :meth:`GenerationHub.subject` interns for
+the value of the task's ``(credentials, executable)``, so every task in
+one context shares the cached decisions, exactly as the fused table's
+keys do. Invalidation is explicit:
 
-* a task's **cred epoch** is bumped on any setuid/setgid/setgroups or
-  exec credential commit, orphaning every cached decision made under
-  the old credentials;
+* a setuid/setgid/setgroups or exec commit gives the task another
+  context and hence another SID, orphaning its old decisions by
+  keying;
 * **object entries** are dropped by path prefix on chmod, chown,
   unlink, rename, and mount-table changes: the cache subscribes to
   the generation hub's path fan-out, like the dentry cache and the
@@ -109,9 +112,8 @@ class SecurityServer:
         self._clock = clock_fn or (lambda: 0)
         self.cache_enabled = True
         self._cache = PathCache(CACHE_SIZE)
-        #: Credential epochs come from the shared generation hub, so
-        #: one allocator serves the decision cache, the dcache's
-        #: permission maps, and the fused fast-path keys.
+        #: Subject ids come from the shared generation hub, so the
+        #: decision cache and the fused fast path key on the same SID.
         self.generations = generations if generations is not None \
             else GenerationHub()
         self.generations.subscribe_paths(self.invalidate_prefix)
@@ -245,20 +247,11 @@ class SecurityServer:
                 and req.hook in CACHEABLE_HOOKS):
             return None
         task = req.task
-        # Credentials are frozen snapshots, so hashing the whole object
-        # captures every identity input (uids, gids, capability sets);
-        # the epoch additionally orphans entries on credential commits.
-        return (
-            req.hook, req.obj, task.pid, task.cred_epoch, task.cred,
-            task.exe_path, req.mask,
-        )
-
-    def bump_cred_epoch(self, task: "Task") -> int:
-        """A credential commit happened: orphan every cached decision
-        (and fused verdict — the epoch is in both keys) made under
-        *task*'s old credentials."""
-        task.cred_epoch = self.generations.next_cred_epoch()
-        return task.cred_epoch
+        if task.sid_cred is task.cred and task.sid_exe is task.exe_path:
+            sid = task.sid
+        else:
+            sid = self.generations.subject(task)
+        return (req.hook, req.obj, sid, req.mask)
 
     def invalidate_prefix(self, path: str) -> None:
         """Drop cached decisions about *path* and anything beneath it —

@@ -16,8 +16,10 @@ layers in the paper's order:
 The server caches repeatable decisions (AVC-style) and appends every
 outcome to the audit ring behind ``/proc/protego/audit``; the syscall
 layer is responsible for telling the generation hub when objects
-change (chmod, unlink, mount) and the server when credentials commit
-(setuid, exec).
+change (chmod, unlink, mount). Credential commits (setuid, exec) tell
+nobody: they give the task a new credentials object or executable,
+and every cache probe re-interns the task's subject id when either
+is no longer the one its id was minted for.
 
 The eight system calls the paper changes — socket, bind, mount,
 umount, setuid, setgid, ioctl, and the exec-side enforcement of
@@ -27,6 +29,7 @@ setuid-on-exec — are all here, each phrased as one request.
 from __future__ import annotations
 
 import dataclasses
+import posixpath
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.kernel import modes
@@ -163,27 +166,6 @@ class SyscallMixin:
         self._audit_fused(self.clock, task.pid, cred.ruid, cred.euid,
                           suffix)
 
-    def _fp_subject(self, task: Task) -> int:
-        """Intern *task*'s (cred_epoch, cred, exe_path) identity as a
-        small integer for fused keys: a probe then hashes an int
-        instead of re-hashing the credential snapshot. The inline
-        validity check at each key-build site (epoch equal, cred and
-        exe identical objects) catches every recredential. Sids are
-        never reused, so clearing the bounded intern table can only
-        cost duplicate table entries — it can never alias subjects."""
-        sids = self._fp_sids
-        key = (task.cred_epoch, task.cred, task.exe_path)
-        sid = sids.get(key)
-        if sid is None:
-            if len(sids) > 65536:
-                sids.clear()
-            sid = sids[key] = self._fp_sid_iter()
-        task.fp_sid = sid
-        task.fp_sid_epoch = task.cred_epoch
-        task.fp_sid_cred = task.cred
-        task.fp_sid_exe = task.exe_path
-        return sid
-
     def _fuse(self, fp_key: Optional[Tuple], decision, mask: int,
               path: str) -> None:
         """Memoize a layered verdict in the fused table when every
@@ -229,12 +211,10 @@ class SyscallMixin:
         fastpath = self.fastpath
         fp_key = None
         if fastpath.enabled:
-            if (task.fp_sid_epoch == task.cred_epoch
-                    and task.fp_sid_cred is task.cred
-                    and task.fp_sid_exe is task.exe_path):
-                sid = task.fp_sid
+            if task.sid_cred is task.cred and task.sid_exe is task.exe_path:
+                sid = task.sid
             else:
-                sid = self._fp_subject(task)
+                sid = self.generations.subject(task)
             fp_key = (OP_PERM | mask, path, sid)
             hit = fastpath.get(fp_key)
             if hit is not None:
@@ -246,8 +226,7 @@ class SyscallMixin:
         decision = self.security_server.check(AccessRequest(
             hook="inode_permission", task=task, obj=path, mask=mask,
             args=(path, OBJ, mask),
-            dac=lambda: self.vfs.lookup(path, task.cred, mask,
-                                        cred_epoch=task.cred_epoch),
+            dac=lambda: self.vfs.lookup(path, task.cred, mask),
         ))
         self._fuse(fp_key, decision, mask, path)
         if not decision.allowed:
@@ -255,22 +234,37 @@ class SyscallMixin:
         return decision.value
 
     def _dir_write_permission(self, task: Task, path: str) -> Tuple[Inode, str]:
-        """Resolve *path*'s parent directory and demand write+search
-        on it (the DAC gate for create/unlink/rename)."""
-        parent, leaf = self.vfs.resolve_parent(path)
-        parent_path = path.rsplit("/", 1)[0] or "/"
+        """Demand write+search on *path*'s parent directory (the DAC
+        gate for create/unlink/rename) and return ``(parent, leaf)``.
+
+        The DAC layer walks to the parent under the caller's
+        credentials first, so a name in a directory the caller cannot
+        search is neither changed nor reported on, and ENOENT/ENOTDIR
+        still come before EACCES, as in Linux."""
+        parent_path, leaf = posixpath.split(path)
+        if not leaf:
+            raise SyscallError(Errno.EEXIST, path)
         mask = modes.W_OK | modes.X_OK
+        parent = None
 
         def dac() -> Inode:
-            self.vfs.dac_permission(task.cred, parent, mask)
+            nonlocal parent
+            parent = self.vfs.lookup(parent_path, task.cred)
+            if not parent.is_dir():
+                raise SyscallError(Errno.ENOTDIR, parent_path)
+            self.vfs.check_permission(task.cred, parent, mask)
             return parent
 
         decision = self.security_server.check(AccessRequest(
             hook="inode_permission", task=task, obj=parent_path, mask=mask,
-            args=(parent_path, parent, mask), dac=dac,
+            args=(parent_path, OBJ, mask), dac=dac,
         ))
         if not decision.allowed:
             raise decision.denial()
+        if parent is None:
+            # Served from the decision cache, whose cached inode a
+            # change made through an alias may have left stale.
+            return self.vfs.resolve_parent(path)
         return parent, leaf
 
     # ==================================================================
@@ -301,12 +295,10 @@ class SyscallMixin:
         if fastpath.enabled and not flags & _O_CREAT:
             # O_CREAT opens mutate the namespace; they never consult
             # or feed the fused table.
-            if (task.fp_sid_epoch == task.cred_epoch
-                    and task.fp_sid_cred is task.cred
-                    and task.fp_sid_exe is task.exe_path):
-                sid = task.fp_sid
+            if task.sid_cred is task.cred and task.sid_exe is task.exe_path:
+                sid = task.sid
             else:
-                sid = self._fp_subject(task)
+                sid = self.generations.subject(task)
             fp_key = (OP_OPEN | flags, path, sid)
             # FastPathTable.get inlined (keep in lockstep with
             # sys_stat's copy and the canonical method).
@@ -346,25 +338,27 @@ class SyscallMixin:
             fastpath.stats.misses += 1
         accmode = flags & modes.O_ACCMODE
         mask = _ACCMODE_MASK[accmode]
-        if (flags & modes.O_CREAT and flags & modes.O_EXCL
-                and self.vfs.exists(path)):
-            raise SyscallError(Errno.EEXIST, path)
         created: Optional[Inode] = None
-        if flags & modes.O_CREAT and not self.vfs.exists(path):
-            parent, leaf = self._dir_write_permission(task, path)
-            created = make_file(
-                b"", uid=task.cred.fsuid, gid=task.cred.fsgid,
-                perm=mode & ~0o022,
-            )
-            parent.entries[leaf] = created
-            # The name now resolves: drop any stale decisions about it.
-            self.generations.invalidate_path(path)
+        if flags & _O_CREAT:
+            if not self.vfs.exists(path):
+                parent, leaf = self._dir_write_permission(task, path)
+                created = make_file(
+                    b"", uid=task.cred.fsuid, gid=task.cred.fsgid,
+                    perm=mode & ~0o022,
+                )
+                parent.entries[leaf] = created
+                # The name now resolves: drop any stale decisions about it.
+                self.generations.invalidate_path(path)
+            elif flags & modes.O_EXCL:
+                # Only a caller who may search every directory on the
+                # way learns that the name exists.
+                self.vfs.lookup(path, task.cred)
+                raise SyscallError(Errno.EEXIST, path)
 
         def dac() -> Inode:
             if created is not None:
                 return created
-            inode = self.vfs.lookup(path, task.cred, mask,
-                                    cred_epoch=task.cred_epoch)
+            inode = self.vfs.lookup(path, task.cred, mask)
             if inode.is_dir() and accmode != modes.O_RDONLY:
                 raise SyscallError(Errno.EISDIR, path)
             return inode
@@ -497,12 +491,10 @@ class SyscallMixin:
         path = norm if norm is not None else self._resolve_at(task, path)
         fastpath = self.fastpath
         if fastpath.enabled:
-            if (task.fp_sid_epoch == task.cred_epoch
-                    and task.fp_sid_cred is task.cred
-                    and task.fp_sid_exe is task.exe_path):
-                sid = task.fp_sid
+            if task.sid_cred is task.cred and task.sid_exe is task.exe_path:
+                sid = task.sid
             else:
-                sid = self._fp_subject(task)
+                sid = self.generations.subject(task)
             fp_key = (OP_STAT, path, sid)
             # FastPathTable.get inlined (keep in lockstep): the warm
             # probe is the whole point of the table, so the bound-method
@@ -518,8 +510,7 @@ class SyscallMixin:
                 # The oracle in verdict form: one cached walk plus the
                 # dependency bit saying whether it may be memoized.
                 inode, errno, context, cacheable = \
-                    self.vfs.lookup_verdict(path, task.cred, modes.F_OK,
-                                            cred_epoch=task.cred_epoch)
+                    self.vfs.lookup_verdict(path, task.cred)
                 if cacheable:
                     # Stat performs no LSM check, so the walk's own
                     # certificate is the whole fusing condition; the
@@ -531,8 +522,7 @@ class SyscallMixin:
             # One cached walk: resolution and the directory search
             # checks together (stat needs no permission on the file
             # itself).
-            inode = self.vfs.lookup(path, task.cred, modes.F_OK,
-                                    cred_epoch=task.cred_epoch)
+            inode = self.vfs.lookup(path, task.cred)
         return _STAT_NEW(StatResult, (inode.ino, inode.mode, inode.uid,
                                       inode.gid, inode.size(), inode.nlink))
 
@@ -579,7 +569,7 @@ class SyscallMixin:
     def sys_chmod(self, task: Task, path: str, mode: int) -> None:
         self._enter(task, "chmod")
         path = self._resolve_at(task, path)
-        inode = self.vfs.resolve(path)
+        inode = self.vfs.lookup(path, task.cred)
         if task.cred.fsuid != inode.uid and not self.capable(task, Capability.CAP_FOWNER):
             raise SyscallError(Errno.EPERM, f"chmod {path}")
         inode.mode = (inode.mode & modes.S_IFMT) | (mode & modes.PERM_MASK)
@@ -594,7 +584,7 @@ class SyscallMixin:
     def sys_chown(self, task: Task, path: str, uid: int, gid: int = -1) -> None:
         self._enter(task, "chown")
         path = self._resolve_at(task, path)
-        inode = self.vfs.resolve(path)
+        inode = self.vfs.lookup(path, task.cred)
         if uid != -1 and uid != inode.uid:
             self.require_capable(task, Capability.CAP_CHOWN, f"chown {path}")
         if gid != -1 and gid != inode.gid:
@@ -618,7 +608,7 @@ class SyscallMixin:
         self._enter(task, "link")
         target = self._resolve_at(task, target)
         linkpath = self._resolve_at(task, linkpath)
-        inode = self.vfs.resolve(target)
+        inode = self.vfs.lookup(target, task.cred)
         if inode.is_dir():
             raise SyscallError(Errno.EISDIR, target)
         parent, leaf = self._dir_write_permission(task, linkpath)
@@ -671,7 +661,7 @@ class SyscallMixin:
     def sys_chdir(self, task: Task, path: str) -> None:
         self._enter(task, "chdir")
         path = self._resolve_at(task, path)
-        if not self.vfs.resolve(path).is_dir():
+        if not self.vfs.lookup(path, task.cred).is_dir():
             raise SyscallError(Errno.ENOTDIR, path)
         self._path_permission(task, path, modes.X_OK)
         task.cwd = path
@@ -858,7 +848,6 @@ class SyscallMixin:
                 task.cred = task.cred.with_caps(full.cap_permitted, full.cap_effective)
             else:
                 task.cred = task.cred.drop_all_caps()
-            self.security_server.bump_cred_epoch(task)
             self.log_audit("setuid", task, f"-> {uid}")
             return
         if decision.layer == LAYER_CAPABILITY:
@@ -867,12 +856,10 @@ class SyscallMixin:
             if uid != 0:
                 # setuid(nonroot) from root drops capability sets.
                 task.cred = task.cred.drop_all_caps()
-            self.security_server.bump_cred_epoch(task)
             self.log_audit("setuid", task, f"-> {uid}")
             return
         # Identity fallback: uid is the task's own ruid/suid.
         task.cred = task.cred.with_uids(euid=uid)
-        self.security_server.bump_cred_epoch(task)
         self.log_audit("setuid", task, f"euid -> {uid}")
 
     def sys_setgid(self, task: Task, gid: int) -> None:
@@ -891,21 +878,17 @@ class SyscallMixin:
                 self.log_audit("setgid.deferred", task, f"-> {gid}")
                 return
             task.cred = task.cred.with_gids(rgid=gid, egid=gid, sgid=gid)
-            self.security_server.bump_cred_epoch(task)
             self.log_audit("setgid", task, f"-> {gid}")
             return
         if decision.layer == LAYER_CAPABILITY:
             task.cred = task.cred.with_gids(rgid=gid, egid=gid, sgid=gid)
-            self.security_server.bump_cred_epoch(task)
             return
         task.cred = task.cred.with_gids(egid=gid)
-        self.security_server.bump_cred_epoch(task)
 
     def sys_setgroups(self, task: Task, groups: List[int]) -> None:
         self._enter(task, "setgroups")
         self.require_capable(task, Capability.CAP_SETGID, "setgroups")
         task.cred = task.cred.with_groups(groups)
-        self.security_server.bump_cred_epoch(task)
 
     # ==================================================================
     # Processes
@@ -920,6 +903,9 @@ class SyscallMixin:
         child.tty = parent.tty
         child.security = {mod: dict(state) for mod, state in parent.security.items()}
         child.namespaces = dict(parent.namespaces)
+        # Syscall-entry confinement is inherited, as seccomp filters are.
+        child.entry_allowed = parent.entry_allowed
+        child.entry_mask = parent.entry_mask
         pidns = child.namespaces.get("pid")
         if pidns is not None:
             pidns.enroll(child.pid)
@@ -994,9 +980,6 @@ class SyscallMixin:
         task.exe_path = path
         task.comm = path.rsplit("/", 1)[-1]
         self.security_server.notify("bprm_committing_creds", task, path, inode)
-        # Exec is a credential commit (setuid bits, file caps, a
-        # possibly-applied pending transition, a new exe identity).
-        self.security_server.bump_cred_epoch(task)
         self.log_audit("exec", task, path)
 
         if not run:

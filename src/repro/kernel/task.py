@@ -4,6 +4,9 @@ The fields mirror the pieces of ``struct task_struct`` Protego relies
 on: credentials, the per-task security blob LSMs may attach (Protego
 stores the pending setuid-on-exec transition and the last
 authentication time there), the controlling terminal, and exit status.
+A task also caches its subject id, the integer the access caches key
+on for its ``(cred, exe_path)`` context; nothing has to refresh it,
+because a probe re-interns whenever either field is a new object.
 """
 
 from __future__ import annotations
@@ -27,9 +30,6 @@ class PendingSetuid:
     """
 
     target_uid: int
-    target_gid: Optional[int] = None
-    allowed_binaries: tuple = ()
-    rule: Any = None
     # Rules that could authorize more binaries but still need an
     # authentication step; the exec hook runs it ("the authentication
     # service may also ask for the target user's password at this
@@ -63,25 +63,18 @@ class Task:
         # by object-based policies keyed on (binary, uid) such as the
         # Protego bind(2) port map.
         self.exe_path: str = ""
-        # Credential epoch: bumped by the security server on every
-        # credential commit (setuid/setgid/setgroups/exec), orphaning
-        # cached access decisions made under the old credentials.
-        # Kernel-created tasks draw a fresh epoch from the generation
-        # hub at creation so no two subjects ever share an epoch.
-        self.cred_epoch: int = 0
         # Syscall-entry gate state (repro.kernel.entry): the cached
         # permitted-syscall bitmask (None = recompute on next entry)
         # and the optional per-task confinement set.
         self.entry_mask: Optional[int] = ALL_MASK
         self.entry_allowed: Optional[frozenset] = None
-        # Fused fast-path subject id (repro.kernel.fastpath): the
-        # interned integer standing for (cred_epoch, cred, exe_path)
-        # in fused keys, plus the identity triple it was minted for.
-        # Hashing an int beats re-hashing a Credentials every probe.
-        self.fp_sid: int = -1
-        self.fp_sid_epoch: int = -1
-        self.fp_sid_cred: Optional[Credentials] = None
-        self.fp_sid_exe: Optional[str] = None
+        # Subject id (GenerationHub.subject): the integer the fused
+        # table and the decision cache key on, interned from the value
+        # of (cred, exe_path), plus the two objects it was minted for.
+        # A cache trusts `sid` only while both are still this task's.
+        self.sid: int = -1
+        self.sid_cred: Optional[Credentials] = None
+        self.sid_exe: Optional[str] = None
         # LSM security blob: module-name -> arbitrary state. Protego
         # keeps `last_auth_time` and `pending_setuid` here.
         self.security: Dict[str, Any] = {}

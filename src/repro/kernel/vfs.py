@@ -9,9 +9,9 @@ loop limit and crosses mountpoints exactly as Linux's walk does, so
 All resolution funnels through :meth:`VFS.lookup`, which performs the
 component walk *and* the per-directory search-permission checks in a
 single pass and memoizes the result in a Linux-style dentry cache
-(:mod:`repro.kernel.dcache`): positive and negative path entries keyed
-on the mount epoch, permission results keyed on the caller's
-credential epoch and each directory's generation. The historical
+(:mod:`repro.kernel.dcache`): positive and negative path entries
+emptied by mount-table changes, permission results keyed on the
+caller's credentials and each directory's generation. The historical
 entry points (``resolve``, ``path_permission``, ``exists``) remain as
 thin wrappers.
 """
@@ -199,7 +199,6 @@ class VFS:
         cred: Optional[Credentials] = None,
         mask: int = modes.F_OK,
         follow_final_symlink: bool = True,
-        cred_epoch: int = 0,
     ) -> Inode:
         """Resolve *path* and (when *cred* is given) enforce search
         permission on every directory plus *mask* on the final inode —
@@ -218,7 +217,7 @@ class VFS:
             entry = dcache.get(norm, follow_final_symlink)
             if entry is not None:
                 if cred is not None:
-                    perms = dcache.perms_for(cred_epoch, cred)
+                    perms = dcache.perms_for(cred)
                     memo_key = (entry, mask)
                     signature = entry.signature()
                     if perms.get(memo_key) != signature:
@@ -242,7 +241,7 @@ class VFS:
         try:
             inode, _parent, _leaf = self._walk(
                 norm, follow_final_symlink, cred=cred, mask=mask,
-                cred_epoch=cred_epoch, state=state)
+                state=state)
         except SyscallError as exc:
             if (dcache.enabled and not state.crossed_symlink
                     and exc.errno_value is Errno.ENOENT):
@@ -268,15 +267,13 @@ class VFS:
         path: str,
         cred: Optional[Credentials] = None,
         mask: int = modes.F_OK,
-        cred_epoch: int = 0,
     ) -> Tuple[Optional[Inode], Optional[Errno], str, bool]:
         """:meth:`lookup` in verdict form: ``(inode-or-None, errno-or-
         None, context, cacheable)``. The trailing flag tells a
         fused-table caller whether this walk may be memoized under
         prefix invalidation."""
         try:
-            inode = self.lookup(path, cred=cred, mask=mask,
-                                cred_epoch=cred_epoch)
+            inode = self.lookup(path, cred=cred, mask=mask)
         except SyscallError as exc:
             return (None, exc.errno_value, exc.context,
                     self.walk_cached(path))
@@ -287,8 +284,7 @@ class VFS:
         callers); one cached walk."""
         return self.lookup(path, follow_final_symlink=follow_final_symlink)
 
-    def path_permission(self, cred: Credentials, path: str, mask: int,
-                        cred_epoch: int = 0) -> Inode:
+    def path_permission(self, cred: Credentials, path: str, mask: int) -> Inode:
         """Walk *path* checking execute (search) on every directory,
         then *mask* on the final inode. Returns the final inode.
 
@@ -297,7 +293,7 @@ class VFS:
         symlink-depth limit applies here too (a loop raises ELOOP, not
         RecursionError).
         """
-        return self.lookup(path, cred=cred, mask=mask, cred_epoch=cred_epoch)
+        return self.lookup(path, cred=cred, mask=mask)
 
     def resolve_parent(self, path: str) -> Tuple[Inode, str]:
         """Resolve the parent directory of *path*; return (dir, leafname)."""
@@ -360,7 +356,6 @@ class VFS:
         follow_final_symlink: bool,
         cred: Optional[Credentials] = None,
         mask: int = modes.F_OK,
-        cred_epoch: int = 0,
         _depth: int = 0,
         state: Optional[_WalkState] = None,
     ) -> Tuple[Inode, Optional[Inode], str]:
@@ -373,11 +368,16 @@ class VFS:
             current = mount.fs.root
         parent: Optional[Inode] = None
         walked = ""
+        # One permission map for the whole walk, as a dcache hit uses.
+        perms = (self.dcache.perms_for(cred)
+                 if cred is not None and self.dcache.enabled else None)
         for index, name in enumerate(components):
             if not current.is_dir():
                 raise SyscallError(Errno.ENOTDIR, walked or "/")
-            if cred is not None:
-                self.check_permission(cred, current, modes.X_OK, cred_epoch)
+            if perms is not None:
+                self._cached_permission(perms, cred, current, modes.X_OK)
+            elif cred is not None:
+                self.dac_permission(cred, current, modes.X_OK)
             if state is not None:
                 state.dirs.append(current)
             child = current.lookup(name)
@@ -391,11 +391,10 @@ class VFS:
                     state.crossed_symlink = True
                 full = self._symlink_target(walked, child, components[index + 1:])
                 return self._walk(full, follow_final_symlink, cred=cred,
-                                  mask=mask, cred_epoch=cred_epoch,
-                                  _depth=_depth + 1, state=state)
+                                  mask=mask, _depth=_depth + 1, state=state)
             parent, current = current, child
         if cred is not None and mask:
-            self.check_permission(cred, current, mask, cred_epoch)
+            self.check_permission(cred, current, mask)
         return current, parent, components[-1] if components else "/"
 
     def exists(self, path: str) -> bool:
@@ -437,18 +436,17 @@ class VFS:
                 return
         raise SyscallError(Errno.EACCES, f"dac denied mask={mask} on ino {inode.ino}")
 
-    def check_permission(self, cred: Credentials, inode: Inode, mask: int,
-                         cred_epoch: int = 0) -> None:
+    def check_permission(self, cred: Credentials, inode: Inode, mask: int) -> None:
         """:meth:`dac_permission` behind the per-directory permission
-        cache: results keyed on ``(inode, generation, mask)`` under the
-        caller's ``(cred epoch, cred)`` map. A chmod/chown bumps the
-        inode's generation; a credential commit bumps the epoch —
-        either orphans the entry."""
+        cache: results keyed on ``(inode, generation, mask)`` in the
+        caller's credentials' map. A chmod/chown bumps the inode's
+        generation, orphaning the entry; a credential change selects
+        another map."""
         if not mask:
             return
         if not self.dcache.enabled:
             return self.dac_permission(cred, inode, mask)
-        perms = self.dcache.perms_for(cred_epoch, cred)
+        perms = self.dcache.perms_for(cred)
         self._cached_permission(perms, cred, inode, mask)
 
     def _cached_permission(self, perms: Dict, cred: Credentials,

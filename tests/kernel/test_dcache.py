@@ -1,5 +1,5 @@
 """Dentry-cache tests: single-walk lookups, negative entries, and the
-three invalidation generations (mount epoch, path prefix, cred epoch).
+three invalidation routes (mount epoch, path prefix, inode generation).
 
 The structural bar for the refactor is walk count: a cold path-taking
 syscall performs exactly one component walk; a warm one performs zero.
@@ -13,6 +13,7 @@ from repro.core.procfiles import DCACHE_PROC_PATH
 from repro.core.system import System, SystemMode
 from repro.kernel import Kernel, modes
 from repro.kernel.cred import Credentials
+from repro.kernel.dcache import MAX_ENTRIES
 from repro.kernel.errno import Errno, SyscallError
 from repro.kernel.inode import make_dir, make_file, make_symlink
 from repro.kernel.vfs import VFS, Filesystem
@@ -252,6 +253,23 @@ class TestPermissionInvalidation:
         with pytest.raises(SyscallError) as err:
             kernel.sys_open(root, "/etc/secret")
         assert err.value.errno_value == Errno.EACCES
+
+    def test_equal_credentials_share_one_bounded_map(self, kernel, root):
+        dcache = kernel.vfs.dcache
+        twin = kernel.user_task(1000, 1000)
+        other = kernel.user_task(1000, 1000)
+        assert twin.cred == other.cred and twin.cred is not other.cred
+        kernel.sys_stat(twin, "/etc")
+        kernel.sys_stat(other, "/tmp")
+        perms = dcache.perms_for(twin.cred)
+        assert dcache.perms_for(other.cred) is perms
+        # A shared map lives as long as its credentials do, so it is
+        # emptied once it outgrows the path map's capacity.
+        perms.update((("filler", n), None) for n in range(MAX_ENTRIES))
+        assert dcache.perms_for(twin.cred) is perms
+        assert not perms
+        kernel.sys_stat(twin, "/etc")
+        assert perms
 
     def test_search_permission_enforced_on_hits(self, kernel, root, alice):
         kernel.security_server.cache_enabled = False

@@ -17,6 +17,7 @@ import pytest
 from repro.core.procfiles import AUDIT_PROC_PATH
 from repro.core.system import System, SystemMode
 from repro.kernel import Kernel, modes
+from repro.kernel.capabilities import Capability
 from repro.kernel.errno import Errno, SyscallError
 from repro.kernel.lsm import HookResult, LSMChain, SecurityModule, deny_errno
 
@@ -39,6 +40,12 @@ def root(kernel):
 @pytest.fixture
 def alice(kernel):
     return kernel.user_task(1000, 1000)
+
+
+def _probed_sid(kernel, task):
+    """The subject id a cacheable request from *task* is keyed on."""
+    kernel.capable(task, Capability.CAP_CHOWN)
+    return task.sid
 
 
 def cached_objects(kernel):
@@ -154,10 +161,10 @@ class TestInvalidation:
         kernel.sys_close(root, fd)
         assert "/opt/appkey" not in cached_objects(kernel)
 
-    def test_setuid_commit_bumps_cred_epoch(self, kernel, root):
-        epoch_before = root.cred_epoch
+    def test_setuid_commit_changes_the_sid(self, kernel, root):
+        sid_before = _probed_sid(kernel, root)
         kernel.sys_setuid(root, 1000)
-        assert root.cred_epoch > epoch_before
+        assert _probed_sid(kernel, root) != sid_before
 
     def test_setuid_commit_orphans_cached_decisions(self, kernel, root):
         kernel.write_file(root, "/tmp/data", b"")
@@ -179,10 +186,10 @@ class TestInvalidation:
             kernel.init.cred.__class__(ruid=1000, euid=1000, suid=0,
                                        fsuid=1000, rgid=1000, egid=1000,
                                        sgid=1000, fsgid=1000))
-        epoch_before = task.cred_epoch
+        sid_before = _probed_sid(kernel, task)
         kernel.sys_setuid(task, 0)  # suid=0 permits the euid switch
         assert task.cred.euid == 0
-        assert task.cred_epoch > epoch_before
+        assert _probed_sid(kernel, task) != sid_before
 
     def test_mount_invalidates_the_mountpoint_subtree(self, kernel, root):
         kernel.sys_mkdir(root, "/mnt/disk")

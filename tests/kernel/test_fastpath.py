@@ -7,7 +7,7 @@ layered caches:
   dcache and decision cache are never consulted on a hit;
 * one flush rule: mount changes and policy reloads empty the table
   through the hub's flush fan-out, credential commits orphan by
-  keying (fresh epoch) without evicting other subjects;
+  keying (a new subject id) without evicting other subjects;
 * attribute and namespace mutations arrive as prefix invalidations
   through the hub's path fan-out (chmod, create-over-negative), and
   every cache counts the entries they drop;
@@ -16,7 +16,7 @@ layered caches:
 * both new fault sites fail closed (a fault slows, never widens);
 * the SFIP-style entry gate rejects out-of-mask syscalls with EPERM
   before argument processing, and a confinement survives credential
-  commits until it is lifted;
+  commits and fork until it is lifted;
 * /proc/protego/fastpath renders the whole plane, root-only.
 """
 
@@ -25,11 +25,13 @@ import pytest
 from repro.core.procfiles import FASTPATH_PROC_PATH
 from repro.core.system import System, SystemMode
 from repro.kernel import Kernel, modes
+from repro.kernel.cred import Credentials
 from repro.kernel.entry import ALL_MASK, SYSCALLS, mask_for, mask_names
 from repro.kernel.errno import Errno, SyscallError
 from repro.kernel.fault import SITE_ENTRY_MASK, SITE_FASTPATH_INSERT
 from repro.kernel.generations import GenerationHub
 from repro.kernel.lsm import HookResult, SecurityModule
+from repro.kernel.task import Task
 
 
 @pytest.fixture
@@ -156,7 +158,7 @@ class TestGenerationStaleness:
         kernel.sys_chmod(root, "/pub", 0o700)  # parent: prefix covers child
         assert not kernel.sys_access(alice, "/pub/readme", modes.R_OK)
 
-    def test_setuid_orphans_by_epoch_not_generation(self, kernel, root):
+    def test_setuid_orphans_by_sid_not_generation(self, kernel, root):
         path = _deep_file(kernel, root)
         task = kernel.root_task("setuid-shell")  # holds CAP_SETUID
         kernel.sys_stat(task, path)
@@ -377,6 +379,24 @@ class TestEntryGate:
         gate.unrestrict(task)
         assert kernel.sys_stat(task, "/bin/tool").ino > 0
 
+    def test_forked_child_inherits_the_confinement(self, kernel, root):
+        gate = kernel.entry_gate
+        task = kernel.root_task("confined")
+        gate.restrict(task, ["fork", "getpid", "exit", "stat"])
+        with pytest.raises(SyscallError) as excinfo:
+            kernel.sys_open(task, "/etc/passwd")
+        assert excinfo.value.errno_value == Errno.EPERM
+        child = kernel.sys_fork(task)
+        assert child.entry_allowed == task.entry_allowed
+        with pytest.raises(SyscallError) as excinfo:
+            kernel.sys_open(child, "/etc/passwd")
+        assert excinfo.value.errno_value == Errno.EPERM
+        assert kernel.sys_getpid(child) == child.pid
+        # Lifting the parent's confinement leaves the child's in place.
+        gate.unrestrict(task)
+        with pytest.raises(SyscallError):
+            kernel.sys_open(child, "/etc/passwd")
+
     def test_mask_helpers_round_trip(self):
         mask = mask_for(["open", "close", "route_del"])
         assert mask_names(mask) == ("open", "close", "route_del")
@@ -399,12 +419,24 @@ class TestGenerationHub:
         assert hub.bump_policy() == 1
         assert flushed == ["a", "b", "a", "b"]
 
-    def test_cred_epochs_are_unique_and_do_not_advance(self):
+    def test_one_sid_per_context_and_no_flush(self):
         hub = GenerationHub()
         flushed = []
         hub.subscribe_flush(lambda: flushed.append(True))
-        epochs = {hub.next_cred_epoch() for _ in range(5)}
-        assert len(epochs) == 5
+        contexts = [(Credentials.for_user(1000, 1000), "/bin/sh"),
+                    (Credentials.for_user(1000, 1000), "/bin/sh"),
+                    (Credentials.for_user(1000, 1000), "/bin/cat"),
+                    (Credentials.for_user(1001, 1001), "/bin/sh"),
+                    (Credentials.for_user(1000, 1000), "/bin/sh")]
+        sids = []
+        for cred, exe in contexts:
+            task = Task(1, cred)
+            task.exe_path = exe
+            sids.append(hub.subject(task))
+        # Equal values share a SID whichever objects carry them.
+        assert sids[0] == sids[1] == sids[4]
+        assert len(set(sids)) == 3
+        assert hub.cred == 3  # one allocation per context
         assert (hub.mount, hub.policy) == (0, 0)
         assert flushed == []
 

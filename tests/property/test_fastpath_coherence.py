@@ -5,9 +5,12 @@ the layered walk (dcache + decision cache + LSM chain, here run with
 every cache disabled) is the oracle. This property test interleaves
 the full mutation vocabulary — chmod, chown, mount, umount, AppArmor
 profile (re)loads, transactional policy commits, create/unlink — with
-lookups from three subjects, and demands that **every** fused outcome
+lookups from five tasks, and demands that **every** fused outcome
 (success attributes or errno) equals the uncached layered outcome, for
-over a thousand seeded rounds per run.
+over a thousand seeded rounds per run. Two of the tasks share a
+subject id with another: a second alice session running alice's
+binary, and a child of bob that execs mid-run and so leaves bob's
+context for its own.
 
 Any missed invalidation edge — a mutation the flush or prefix
 fan-out fails to cover — surfaces here as a divergence with the seed,
@@ -30,6 +33,8 @@ from repro.kernel.errno import SyscallError
 
 ROUNDS = 1100
 MUTATION_RATE = 0.35
+#: What bob's child execs halfway through the run.
+CHILD_EXEC = "/bin/true"
 
 
 def _outcome(fn):
@@ -98,7 +103,14 @@ def test_fused_verdicts_match_the_layered_oracle(seed):
     # shares one exe_path by default).
     alice.exe_path = "/usr/bin/alice-shell"
     bob = system.session_for("bob")
-    tasks = {"root": root, "alice": alice, "bob": bob}
+    # Tasks that share a context: alice's second session runs an equal
+    # (not identical) exe string, and bob's child shares bob's subject
+    # id until it execs.
+    alice2 = system.session_for("alice")
+    alice2.exe_path = "".join(["/usr/bin/", "alice-shell"])
+    bob_child = kernel.sys_fork(bob)
+    tasks = {"root": root, "alice": alice, "alice2": alice2, "bob": bob,
+             "bob-child": bob_child}
     paths = _build_world(kernel, root)
     apparmor = kernel.lsm.find("apparmor")
     mounts_policy = kernel.read_file(root, MOUNTS_PROC_PATH)
@@ -164,9 +176,12 @@ def test_fused_verdicts_match_the_layered_oracle(seed):
     divergences = []
     index_drift = None
     for round_no in range(ROUNDS):
+        if round_no == ROUNDS // 2:
+            kernel.sys_execve(bob_child, CHILD_EXEC, run=False)
         if rng.random() < MUTATION_RATE:
             mutate()
-        task_name = rng.choice(("root", "alice", "alice", "bob"))
+        task_name = rng.choice(("root", "alice", "alice", "alice2", "bob",
+                                "bob-child"))
         path = rng.choice(paths + [f"/prop/b/n{file_serial % 4}"])
         fused, oracle = lookup(tasks[task_name], path)
         if fused != oracle:
@@ -179,6 +194,9 @@ def test_fused_verdicts_match_the_layered_oracle(seed):
 
     assert not divergences, "\n".join(divergences[:20])
     assert index_drift is None, index_drift
-    # The run must actually have exercised the fused plane.
+    # The run must actually have exercised the fused plane, with the
+    # shared contexts sharing subject ids.
     assert kernel.fastpath.stats.hits > 0
     assert kernel.fastpath.stats.insertions > 0
+    assert alice2.sid == alice.sid
+    assert bob_child.exe_path == CHILD_EXEC and bob_child.sid != bob.sid
