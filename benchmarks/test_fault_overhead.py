@@ -22,7 +22,9 @@ from pathlib import Path
 
 from benchmarks.conftest import bench_scale
 from repro.core import System, SystemMode
+from repro.kernel import modes
 from repro.kernel.dcache import MAX_CREDS, MAX_ENTRIES, DentryCache
+from repro.kernel.security import Decision
 from repro.kernel.security.server import (
     _FASTPATH_UNCACHEABLE_ERRNOS,
     _UNCACHEABLE_ERRNOS,
@@ -73,14 +75,16 @@ def _check_unguarded(self, req):
         self.stats.misses += 1
     else:
         self.stats.uncacheable += 1
-    decision = self._decide(req)
+    verdict, layer, errno, context, lsm_module, pending, value = \
+        self._decide(req)
     cache_ok = (key is not None
                 and self.lsm.cache_ok(req.hook, req.task, *req.args))
-    if cache_ok:
-        if decision.errno not in _FASTPATH_UNCACHEABLE_ERRNOS:
-            object.__setattr__(decision, "fastpath_ok", True)
-        if decision.errno not in _UNCACHEABLE_ERRNOS:
-            self._cache.put(key, decision)
+    decision = Decision(
+        verdict, layer, req.hook, req.obj, errno, context, lsm_module,
+        pending, value,
+        cache_ok and errno not in _FASTPATH_UNCACHEABLE_ERRNOS)
+    if cache_ok and errno not in _UNCACHEABLE_ERRNOS:
+        self._cache.put(key, decision)
     self._record(req, decision, cached=False)
     return decision
 
@@ -135,8 +139,10 @@ def _ops(kernel, root, deep_path):
         kernel.sys_stat(root, deep_path)
 
     def op_decision_insert():
+        # stat consults no security module; access(2) asks the server
+        # an inode_permission question, which misses and inserts.
         server.flush()
-        kernel.sys_stat(root, deep_path)
+        kernel.sys_access(root, deep_path, modes.R_OK)
 
     def op_warm_stat():
         kernel.sys_stat(root, deep_path)

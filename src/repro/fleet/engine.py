@@ -235,7 +235,10 @@ def run_shard_group(shard: Shard, sessions: Sequence[_Session],
             # both deterministic in what they claim to measure.
             cost = (now - wall_before) if clock.wall \
                 else (kernel.now() - kernel_before)
-            op_ledgers.setdefault(op, LatencyLedger()).record(cost)
+            ledger = op_ledgers.get(op)
+            if ledger is None:
+                ledger = op_ledgers[op] = LatencyLedger()
+            ledger.record(cost)
             if digest is not None:
                 digest = zlib.crc32(
                     f"{session.sid}:{op};".encode(), digest)

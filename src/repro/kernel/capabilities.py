@@ -6,6 +6,11 @@ the studied setuid binaries actually need are exercised throughout the
 test suite (CAP_SYS_ADMIN, CAP_NET_RAW, CAP_NET_BIND_SERVICE,
 CAP_SETUID, CAP_SETGID, CAP_NET_ADMIN, CAP_CHOWN, CAP_DAC_OVERRIDE,
 CAP_DAC_READ_SEARCH, CAP_FOWNER, CAP_SYS_RAWIO).
+
+A :class:`CapabilitySet` is immutable: every operation returns a new
+set. The full and the empty set are therefore built once and shared,
+which spares every root credential the 36 enum coercions a fresh
+full set costs.
 """
 
 from __future__ import annotations
@@ -79,10 +84,12 @@ VIDEO_MODE_CAPS = frozenset(
 
 
 class CapabilitySet:
-    """A mutable set of capabilities with full/empty convenience forms.
+    """An immutable set of capabilities with full/empty convenience forms.
 
     Models one of the per-task capability sets (permitted, effective,
     inheritable). Root tasks conventionally start with a full set.
+    Every operation returns a new set, so :meth:`full` and
+    :meth:`empty` can hand out one shared instance each.
     """
 
     __slots__ = ("_caps",)
@@ -93,14 +100,16 @@ class CapabilitySet:
     @classmethod
     def full(cls) -> "CapabilitySet":
         """All 36 capabilities — what Linux gives a root process."""
-        return cls(Capability)
+        return _FULL
 
     @classmethod
     def empty(cls) -> "CapabilitySet":
-        return cls()
+        return _EMPTY
 
     def has(self, cap: Capability) -> bool:
-        return Capability(cap) in self._caps
+        if cap.__class__ is not Capability:
+            cap = Capability(cap)
+        return cap in self._caps
 
     def add(self, cap: Capability) -> "CapabilitySet":
         return CapabilitySet(self._caps | {Capability(cap)})
@@ -137,3 +146,7 @@ class CapabilitySet:
     def __repr__(self) -> str:
         names = ",".join(c.name for c in self)
         return f"CapabilitySet({names or 'empty'})"
+
+
+_FULL = CapabilitySet(Capability)
+_EMPTY = CapabilitySet()

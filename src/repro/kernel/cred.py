@@ -4,6 +4,14 @@ Mirrors the Linux ``struct cred`` fields the paper's policies consult:
 real/effective/saved uid and gid, the filesystem uid used by DAC
 checks, supplementary groups, and the permitted/effective/inheritable
 capability sets.
+
+Snapshots are frozen, so one value can be shared wherever it occurs:
+:meth:`Credentials.for_root` returns the same root snapshot on every
+call, as :meth:`CapabilitySet.full` and ``empty`` do for their sets.
+A transition (``with_uids`` and friends) copies the snapshot's field
+dict into a new object instead of running the frozen ``__init__``,
+which assigns each of the twelve fields through
+``object.__setattr__``.
 """
 
 from __future__ import annotations
@@ -56,9 +64,10 @@ class Credentials:
 
     @classmethod
     def for_root(cls) -> "Credentials":
-        """Root with the full capability sets, as stock Linux grants."""
-        full = CapabilitySet.full()
-        return cls(cap_permitted=full, cap_effective=full, cap_inheritable=CapabilitySet.empty())
+        """Root with the full capability sets, as stock Linux grants.
+        One shared snapshot: every root login, shell and setuid-root
+        exec starts from it."""
+        return _ROOT
 
     @classmethod
     def for_user(cls, uid: int, gid: int, groups: Iterable[int] = ()) -> "Credentials":
@@ -79,11 +88,22 @@ class Credentials:
     def in_group(self, gid: int) -> bool:
         return gid == self.egid or gid == self.fsgid or gid in self.groups
 
+    def _replace(self, **changes) -> "Credentials":
+        """This snapshot with *changes* applied, as a new object. The
+        field dict is copied instead of re-running the frozen
+        ``__init__`` (what ``dataclasses.replace`` does); the pinned
+        hash belongs to the old value and is not copied."""
+        new = object.__new__(Credentials)
+        fields = new.__dict__
+        fields.update(self.__dict__)
+        fields.pop("_hash", None)
+        fields.update(changes)
+        return new
+
     def with_uids(self, ruid: int = None, euid: int = None, suid: int = None) -> "Credentials":
         """Return a copy with the given uids replaced (None = keep)."""
         new_euid = self.euid if euid is None else euid
-        return dataclasses.replace(
-            self,
+        return self._replace(
             ruid=self.ruid if ruid is None else ruid,
             euid=new_euid,
             suid=self.suid if suid is None else suid,
@@ -92,8 +112,7 @@ class Credentials:
 
     def with_gids(self, rgid: int = None, egid: int = None, sgid: int = None) -> "Credentials":
         new_egid = self.egid if egid is None else egid
-        return dataclasses.replace(
-            self,
+        return self._replace(
             rgid=self.rgid if rgid is None else rgid,
             egid=new_egid,
             sgid=self.sgid if sgid is None else sgid,
@@ -101,7 +120,7 @@ class Credentials:
         )
 
     def with_groups(self, groups: Iterable[int]) -> "Credentials":
-        return dataclasses.replace(self, groups=frozenset(groups))
+        return self._replace(groups=frozenset(groups))
 
     def with_caps(
         self,
@@ -109,8 +128,7 @@ class Credentials:
         effective: CapabilitySet = None,
         inheritable: CapabilitySet = None,
     ) -> "Credentials":
-        return dataclasses.replace(
-            self,
+        return self._replace(
             cap_permitted=self.cap_permitted if permitted is None else permitted,
             cap_effective=self.cap_effective if effective is None else effective,
             cap_inheritable=self.cap_inheritable if inheritable is None else inheritable,
@@ -118,7 +136,8 @@ class Credentials:
 
     def drop_all_caps(self) -> "Credentials":
         empty = CapabilitySet.empty()
-        return self.with_caps(empty, empty, empty)
+        return self._replace(cap_permitted=empty, cap_effective=empty,
+                             cap_inheritable=empty)
 
     def describe(self) -> str:
         """Short human-readable summary used in audit logs and examples."""
@@ -127,3 +146,7 @@ class Credentials:
             f"uid={self.ruid} euid={self.euid} gid={self.rgid} "
             f"egid={self.egid} caps={caps}"
         )
+
+
+_ROOT = Credentials(cap_permitted=CapabilitySet.full(),
+                    cap_effective=CapabilitySet.full())

@@ -74,7 +74,9 @@ class SyscallError(OSError):
     """
 
     def __init__(self, errno_value: Errno, context: str = ""):
-        self.errno_value = Errno(errno_value)
+        if errno_value.__class__ is not Errno:
+            errno_value = Errno(errno_value)
+        self.errno_value = errno_value
         self.context = context
         message = self.errno_value.name
         if context:

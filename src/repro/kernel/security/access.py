@@ -13,13 +13,18 @@ a named LSM module (apparmor, protego), the capability system, or the
 default-allow policy — so denials can say ``protego:socket_bind``
 instead of a bare EPERM, and the audit trail can attribute every
 syscall's outcome.
+
+A :class:`Decision` is an immutable tuple record: the decision cache
+hands the same object to every later asker, so nothing may change it
+after the server builds it, and every uncached hook builds one per
+call, where a frozen dataclass cost several times a tuple.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Any, Callable, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Callable, NamedTuple, Optional, Tuple, TYPE_CHECKING
 
 from repro.kernel.capabilities import Capability
 from repro.kernel.errno import Errno, SyscallError
@@ -73,8 +78,7 @@ class AccessRequest:
     cacheable: bool = True
 
 
-@dataclasses.dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """The reference monitor's answer, with attribution.
 
     ``layer`` is the deciding layer: ``"dac"``, ``"capability"``,
@@ -82,6 +86,10 @@ class Decision:
     (``"apparmor"``, ``"protego"``). ``pending`` carries a parked
     setuid-on-exec transition; ``value`` carries the DAC layer's
     return value (the resolved inode) so cache hits skip the walk.
+
+    A tuple record, so no field can be assigned once it is built:
+    cached decisions are shared by every task in the subject's
+    context.
     """
 
     verdict: Verdict
@@ -93,11 +101,12 @@ class Decision:
     lsm_module: Optional[str] = None
     pending: Any = None
     value: Any = None
-    #: Set by the security server when this verdict may be memoized in
-    #: the fused fast-path table: the hook is cacheable, no module
-    #: vetoed caching (complain mode, recency-dependent rules), and the
-    #: errno is not walk-shaped (ENOTDIR/ELOOP). The syscall layer
-    #: additionally requires a cached dentry before fusing.
+    #: True when the security server built this verdict as one that
+    #: may be memoized in the fused fast-path table: the hook is
+    #: cacheable, no module vetoed caching (complain mode,
+    #: recency-dependent rules), and the errno is not walk-shaped
+    #: (ENOTDIR/ELOOP). The syscall layer additionally requires a
+    #: cached dentry before fusing.
     fastpath_ok: bool = False
 
     @property

@@ -23,6 +23,17 @@ keys do. Invalidation is explicit:
 
 Every decision — hit or miss — is appended to the bounded audit ring
 surfaced at ``/proc/protego/audit``.
+
+Hooks that are never cached (setuid, setgid, mount, umount, ioctl,
+exec validation, create-time opens) and cache misses are computed on
+every call, so that path builds as little as it can. A
+:class:`~repro.kernel.security.access.Decision` is a tuple record,
+built once with its ``fastpath_ok`` flag already set. The capability
+check a default policy falls back on is a direct probe of the
+``("capable", "cap:NAME", sid, 0)`` cache key. A hit bumps the same
+lookup and hit counters and appends the same audit row that
+:meth:`SecurityServer.check` would have. Only a miss builds an
+:class:`AccessRequest` and goes through :meth:`check`.
 """
 
 from __future__ import annotations
@@ -72,6 +83,14 @@ _UNCACHEABLE_ERRNOS = frozenset({Errno.ENOENT, Errno.ENOTDIR, Errno.ELOOP})
 _FASTPATH_UNCACHEABLE_ERRNOS = frozenset({Errno.ENOTDIR, Errno.ELOOP})
 
 _SETUID_HOOKS = frozenset({"task_fix_setuid", "task_fix_setgid"})
+
+#: The decision-cache object of each capability check, built once
+#: instead of formatted on every probe.
+_CAP_OBJ = {cap: f"cap:{cap.name}" for cap in Capability}
+
+#: What :meth:`SecurityServer._decide` returns: a decision's
+#: ``(verdict, layer, errno, context, lsm_module, pending, value)``.
+_Outcome = Tuple[Verdict, str, Optional[Errno], str, Optional[str], Any, Any]
 
 #: Decision-cache capacity (FIFO) and audit-ring capacity.
 CACHE_SIZE = 2048
@@ -140,7 +159,8 @@ class SecurityServer:
             self.stats.misses += 1
         else:
             self.stats.uncacheable += 1
-        decision = self._decide(req)
+        verdict, layer, errno, context, lsm_module, pending, value = \
+            self._decide(req)
         # The module cacheability veto runs at insert time only: a
         # vetoed decision is never inserted, so no hit can ever serve
         # it, and hits stay a pure dict probe. Modules whose veto set
@@ -148,29 +168,55 @@ class SecurityServer:
         # ACL does; profile loads flush globally).
         cache_ok = (key is not None
                     and self.lsm.cache_ok(req.hook, req.task, *req.args))
-        if cache_ok:
-            # The same veto governs the fused fast path: a decision no
-            # module objects to memoizing may be fused upstream (the
-            # syscall layer still requires a cached dentry). Set before
-            # the insert so a decision-cache hit replays the flag.
-            if decision.errno not in _FASTPATH_UNCACHEABLE_ERRNOS:
-                object.__setattr__(decision, "fastpath_ok", True)
-            if decision.errno not in _UNCACHEABLE_ERRNOS:
-                if self.fault_site.armed and self.fault_site.should_fail(req.hook):
-                    self.stats.alloc_failures += 1
-                else:
-                    self._cache.put(key, decision)
+        # The same veto governs the fused fast path: a decision no
+        # module objects to memoizing may be fused upstream (the
+        # syscall layer still requires a cached dentry). The flag is
+        # part of the cached decision, so a hit replays it.
+        decision = Decision(
+            verdict, layer, req.hook, req.obj, errno, context, lsm_module,
+            pending, value,
+            cache_ok and errno not in _FASTPATH_UNCACHEABLE_ERRNOS)
+        if cache_ok and errno not in _UNCACHEABLE_ERRNOS:
+            if self.fault_site.armed and self.fault_site.should_fail(req.hook):
+                self.stats.alloc_failures += 1
+            else:
+                self._cache.put(key, decision)
         self._record(req, decision, cached=False)
         return decision
 
     def capable(self, task: "Task", cap: Capability, context: str = "") -> bool:
         """The kernel's single capability funnel, as a cached, audited
-        decision (LSM ``capable`` hook may veto or grant)."""
+        decision (LSM ``capable`` hook may veto or grant).
+
+        A hit is served by probing the decision cache directly, with
+        the counters and audit row :meth:`check` would have produced;
+        only a miss builds the request and goes through :meth:`check`.
+        """
+        obj = _CAP_OBJ[cap]
+        if self.cache_enabled:
+            if task.sid_cred is task.cred and task.sid_exe is task.exe_path:
+                sid = task.sid
+            else:
+                sid = self.generations.subject(task)
+            hit = self._cache.get(("capable", obj, sid, 0))
+            if hit is not None:
+                stats = self.stats
+                stats.lookups += 1
+                stats.hits += 1
+                # _record's row for this hit (keep in lockstep).
+                cred = task.cred
+                self.audit.record((
+                    self._clock(), task.pid, cred.ruid, cred.euid,
+                    "capable", obj, 0, hit.verdict.value, hit.layer, True,
+                    hit.errno.name if hit.errno is not None else "",
+                    hit.context,
+                ))
+                return hit.verdict is Verdict.ALLOW
         return self.check(
             AccessRequest(
                 hook="capable",
                 task=task,
-                obj=f"cap:{cap.name}",
+                obj=obj,
                 args=(cap,),
                 capability=cap,
                 context=context,
@@ -180,7 +226,10 @@ class SecurityServer:
     # ------------------------------------------------------------------
     # Composition: DAC -> LSM chain -> capability -> identity fallback
     # ------------------------------------------------------------------
-    def _decide(self, req: AccessRequest) -> Decision:
+    def _decide(self, req: AccessRequest) -> _Outcome:
+        """Compose the layers for *req*. Returns the decision's fields
+        other than ``hook``, ``obj`` and ``fastpath_ok``, which
+        :meth:`check` adds when it builds the one :class:`Decision`."""
         value = None
         if req.dac is not None:
             try:
@@ -222,22 +271,17 @@ class SecurityServer:
                            value=value)
 
     def _allow(self, req: AccessRequest, layer: str, lsm_module: Optional[str] = None,
-               pending: Any = None, value: Any = None) -> Decision:
-        return Decision(
-            verdict=Verdict.ALLOW, layer=layer, hook=req.hook, obj=req.obj,
-            lsm_module=lsm_module, pending=pending, value=value,
-        )
+               pending: Any = None, value: Any = None) -> _Outcome:
+        return (Verdict.ALLOW, layer, None, "", lsm_module, pending, value)
 
     def _deny(self, req: AccessRequest, layer: str, errno: Optional[Errno] = None,
-              lsm_module: Optional[str] = None, detail: str = "") -> Decision:
+              lsm_module: Optional[str] = None, detail: str = "") -> _Outcome:
         context = f"{layer}:{req.hook}"
         extra = detail or req.context
         if extra:
             context = f"{context}: {extra}"
-        return Decision(
-            verdict=Verdict.DENY, layer=layer, hook=req.hook, obj=req.obj,
-            errno=errno or req.deny_errno, context=context, lsm_module=lsm_module,
-        )
+        return (Verdict.DENY, layer, errno or req.deny_errno, context,
+                lsm_module, None, None)
 
     # ------------------------------------------------------------------
     # Cache keying and invalidation

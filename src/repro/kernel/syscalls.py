@@ -28,7 +28,6 @@ setuid-on-exec — are all here, each phrased as one request.
 
 from __future__ import annotations
 
-import dataclasses
 import posixpath
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -340,20 +339,31 @@ class SyscallMixin:
         mask = _ACCMODE_MASK[accmode]
         created: Optional[Inode] = None
         if flags & _O_CREAT:
-            if not self.vfs.exists(path):
-                parent, leaf = self._dir_write_permission(task, path)
+            vfs = self.vfs
+            if flags & modes.O_EXCL:
+                # O_EXCL never follows the final symlink: any existing
+                # name, a dangling link included, is EEXIST.
+                if vfs.exists(path, follow_final_symlink=False):
+                    # Only a caller who may search every directory on
+                    # the way learns that the name exists.
+                    vfs.lookup(path, task.cred, follow_final_symlink=False)
+                    raise SyscallError(Errno.EEXIST, path)
+                target = path
+            elif vfs.exists(path):
+                target = None
+            else:
+                # A dangling link is followed to the name it points at;
+                # the link itself is never replaced.
+                target = vfs.create_target(path, task.cred)
+            if target is not None:
+                parent, leaf = self._dir_write_permission(task, target)
                 created = make_file(
                     b"", uid=task.cred.fsuid, gid=task.cred.fsgid,
                     perm=mode & ~0o022,
                 )
                 parent.entries[leaf] = created
                 # The name now resolves: drop any stale decisions about it.
-                self.generations.invalidate_path(path)
-            elif flags & modes.O_EXCL:
-                # Only a caller who may search every directory on the
-                # way learns that the name exists.
-                self.vfs.lookup(path, task.cred)
-                raise SyscallError(Errno.EEXIST, path)
+                self.generations.invalidate_path(target)
 
         def dac() -> Inode:
             if created is not None:
@@ -956,8 +966,7 @@ class SyscallMixin:
         mount = self.vfs.mount_covering(path)
         nosuid = bool(mount and mount.fs.is_nosuid())
         if inode.is_setuid() and not nosuid:
-            task.cred = task.cred.with_uids(euid=inode.uid)
-            task.cred = dataclasses.replace(task.cred, suid=inode.uid)
+            task.cred = task.cred.with_uids(euid=inode.uid, suid=inode.uid)
             if inode.uid == 0:
                 # A setuid-root exec regains the full capability sets —
                 # the very over-privilege the paper is about.

@@ -397,12 +397,36 @@ class VFS:
             self.check_permission(cred, current, mask)
         return current, parent, components[-1] if components else "/"
 
-    def exists(self, path: str) -> bool:
+    def exists(self, path: str, follow_final_symlink: bool = True) -> bool:
         try:
-            self.resolve(path)
+            self.resolve(path, follow_final_symlink)
             return True
         except SyscallError:
             return False
+
+    def create_target(self, path: str, cred: Credentials) -> str:
+        """The name ``open(O_CREAT)`` creates for a *path* that does not
+        resolve: *path* itself, or, when its final component is a
+        dangling symlink, the name the link chain ends at, as Linux
+        follows the link. Reaching each link needs *cred*'s search
+        permission on the way; a link loop raises ELOOP. Errors in the
+        parent walk are left to the caller's permission check."""
+        norm = normalize(path)
+        if self.walk_cached(norm):
+            # The failed walk left a negative dentry, so it crossed no
+            # symlink: the name is simply absent.
+            return norm
+        for _ in range(MAX_SYMLINK_DEPTH):
+            try:
+                parent, leaf = self.resolve_parent(norm)
+            except SyscallError:
+                return norm
+            link = parent.entries.get(leaf)
+            if link is None or not link.is_symlink():
+                return norm
+            self.lookup(norm, cred, follow_final_symlink=False)
+            norm = normalize(self._symlink_target(norm, link, []))
+        raise SyscallError(Errno.ELOOP, path)
 
     # ------------------------------------------------------------------
     # Discretionary access control

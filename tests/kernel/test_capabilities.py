@@ -19,6 +19,12 @@ class TestCapabilitySet:
         assert caps.is_empty()
         assert not caps.has(Capability.CAP_SYS_ADMIN)
 
+    def test_has_accepts_plain_ints_and_rejects_unknown_ones(self):
+        assert CapabilitySet.full().has(int(Capability.CAP_SYS_ADMIN))
+        assert not CapabilitySet.empty().has(int(Capability.CAP_SYS_ADMIN))
+        with pytest.raises(ValueError):
+            CapabilitySet.full().has(99)
+
     def test_add_is_functional_not_mutating(self):
         base = CapabilitySet.empty()
         extended = base.add(Capability.CAP_NET_RAW)

@@ -1,5 +1,7 @@
 """Unit tests for credentials."""
 
+import dataclasses
+
 from repro.kernel.capabilities import Capability, CapabilitySet
 from repro.kernel.cred import Credentials
 
@@ -63,3 +65,33 @@ class TestCredentials:
         text = Credentials.for_user(1000, 100).describe()
         assert "uid=1000" in text
         assert "egid=100" in text
+
+    def test_root_and_the_full_and_empty_sets_are_shared(self):
+        assert Credentials.for_root() is Credentials.for_root()
+        assert CapabilitySet.full() is CapabilitySet.full()
+        assert CapabilitySet.empty() is CapabilitySet.empty()
+
+    def test_transitions_leave_the_shared_root_unchanged(self):
+        root = Credentials.for_root()
+        fields = dataclasses.astuple(root)
+        root_hash = hash(root)
+        changed = [
+            (root.drop_all_caps(),
+             dataclasses.replace(root, cap_permitted=CapabilitySet(),
+                                 cap_effective=CapabilitySet())),
+            (root.with_uids(ruid=1000, euid=1000),
+             dataclasses.replace(root, ruid=1000, euid=1000, fsuid=1000)),
+            (root.with_caps(effective=CapabilitySet.empty()),
+             dataclasses.replace(root, cap_effective=CapabilitySet())),
+            (root.with_gids(egid=5),
+             dataclasses.replace(root, egid=5, fsgid=5)),
+            (root.with_groups([27]),
+             dataclasses.replace(root, groups=frozenset({27}))),
+        ]
+        for new, expected in changed:
+            assert new is not root
+            assert new == expected and hash(new) == hash(expected)
+        assert dataclasses.astuple(Credentials.for_root()) == fields
+        assert hash(root) == root_hash
+        assert list(CapabilitySet.full()) == list(Capability)
+        assert CapabilitySet.empty().is_empty()

@@ -12,6 +12,8 @@ Covers the AVC-style behaviours the refactor introduced:
   hook, verdict, and deciding layer.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.procfiles import AUDIT_PROC_PATH
@@ -20,6 +22,7 @@ from repro.kernel import Kernel, modes
 from repro.kernel.capabilities import Capability
 from repro.kernel.errno import Errno, SyscallError
 from repro.kernel.lsm import HookResult, LSMChain, SecurityModule, deny_errno
+from repro.kernel.security import OBJ, AccessRequest, Decision
 
 
 @pytest.fixture
@@ -93,6 +96,39 @@ class TestDecisionCacheHits:
         # Both attempts recomputed: an ENOENT must not mask a later
         # create of the same name.
         assert server.stats.hits == 0
+
+    def test_a_cached_decision_cannot_be_changed(self, kernel, root):
+        kernel.write_file(root, "/etc/motd", b"x")
+        server = kernel.security_server
+        request = AccessRequest(hook="file_open", task=root, obj="/etc/motd",
+                                mask=modes.R_OK, args=("/etc/motd", OBJ, 0))
+        first = server.check(request)
+        hits_before = server.stats.hits
+        served = server.check(request)
+        assert server.stats.hits == hits_before + 1
+        assert served is first and served.fastpath_ok
+        for field in Decision._fields:
+            with pytest.raises(AttributeError):
+                setattr(served, field, None)
+        assert server.check(request) == first
+
+    def test_capability_hits_skip_check_but_count_and_audit(
+            self, kernel, alice, monkeypatch):
+        server = kernel.security_server
+        checks = []
+        check = server.check
+        monkeypatch.setattr(server, "check",
+                            lambda req: checks.append(req) or check(req))
+        assert not kernel.capable(alice, Capability.CAP_SYS_ADMIN)
+        stats = dataclasses.replace(server.stats)
+        assert not kernel.capable(alice, Capability.CAP_SYS_ADMIN)
+        assert len(checks) == 1
+        assert (server.stats.lookups, server.stats.hits, server.stats.misses) \
+            == (stats.lookups + 1, stats.hits + 1, stats.misses)
+        miss, hit = server.audit.entries()[-2:]
+        assert dataclasses.replace(hit, seq=miss.seq, clock=miss.clock,
+                                   cached=False) == miss
+        assert hit.cached and hit.obj == "cap:CAP_SYS_ADMIN"
 
     def test_denial_can_be_cached(self, kernel, root, alice):
         kernel.write_file(root, "/etc/secret", b"x")

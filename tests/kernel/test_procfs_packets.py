@@ -97,3 +97,8 @@ class TestErrnoRepresentation:
     def test_context_optional(self):
         err = SyscallError(Errno.ENOENT)
         assert "ENOENT" in str(err)
+
+    def test_plain_int_is_converted_and_checked(self):
+        assert SyscallError(13).errno_value is Errno.EACCES
+        with pytest.raises(ValueError):
+            SyscallError(9999)
