@@ -29,6 +29,7 @@ from repro.kernel.security.server import (
     _FASTPATH_UNCACHEABLE_ERRNOS,
     _UNCACHEABLE_ERRNOS,
     SecurityServer,
+    _hook_args,
 )
 
 ITERATIONS = max(200, int(4_000 * bench_scale()))
@@ -77,8 +78,8 @@ def _check_unguarded(self, req):
         self.stats.uncacheable += 1
     verdict, layer, errno, context, lsm_module, pending, value = \
         self._decide(req)
-    cache_ok = (key is not None
-                and self.lsm.cache_ok(req.hook, req.task, *req.args))
+    cache_ok = key is not None and self.lsm.cache_ok(
+        req.hook, req.task, *_hook_args(req, value))
     decision = Decision(
         verdict, layer, req.hook, req.obj, errno, context, lsm_module,
         pending, value,

@@ -8,6 +8,10 @@ current policy in the same grammar.
 
 Writes are whole-policy replacements, which makes a daemon sync an
 atomic swap and keeps the kernel free of partial-update states.
+
+The kernel reports through the same surface: the audit ring, the
+compiled AppArmor profiles and, from one registry, every counter
+(``/proc/protego/{audit,policy,metrics}``).
 """
 
 from __future__ import annotations
@@ -24,9 +28,8 @@ MOUNTS_PROC_PATH = "/proc/protego/mounts"
 BINDS_PROC_PATH = "/proc/protego/binds"
 SUDOERS_PROC_PATH = "/proc/protego/sudoers"
 AUDIT_PROC_PATH = "/proc/protego/audit"
-DCACHE_PROC_PATH = "/proc/protego/dcache"
-FASTPATH_PROC_PATH = "/proc/protego/fastpath"
 POLICY_PROC_PATH = "/proc/protego/policy"
+METRICS_PROC_PATH = "/proc/protego/metrics"
 COMMIT_PROC_PATH = "/proc/protego/commit"
 STATUS_PROC_PATH = "/proc/protego/status"
 FAULT_PROC_DIR = "/proc/protego/fault"
@@ -37,7 +40,7 @@ COMMIT_SECTIONS = ("mounts", "sudoers", "binds")
 
 
 def register_protego_proc_files(kernel: Kernel, lsm: ProtegoLSM) -> None:
-    """Create /proc/protego/{mounts,binds,sudoers,audit,dcache,fastpath}.
+    """Create /proc/protego/{mounts,binds,sudoers,audit,commit}.
 
     The files are root-owned mode 0600: only root (in practice the
     monitoring daemon) may reconfigure or inspect kernel policy.
@@ -91,23 +94,6 @@ def register_protego_proc_files(kernel: Kernel, lsm: ProtegoLSM) -> None:
     kernel.procfs.register(
         "protego/audit",
         read_fn=lambda: kernel.security_server.render_audit().encode(),
-        mode=0o600,
-    )
-    kernel.procfs.register(
-        "protego/dcache",
-        read_fn=lambda: kernel.vfs.dcache.render().encode(),
-        mode=0o600,
-    )
-
-    def read_fastpath() -> bytes:
-        # Fused verdict-table counters plus the syscall-entry gate's
-        # bitmask stats, one file: the whole fast-path plane.
-        return (kernel.fastpath.render()
-                + kernel.entry_gate.render()).encode()
-
-    kernel.procfs.register(
-        "protego/fastpath",
-        read_fn=read_fastpath,
         mode=0o600,
     )
 
@@ -180,25 +166,23 @@ def _split_commit_sections(text: str) -> dict:
 
 
 def register_policy_proc_files(kernel: Kernel) -> None:
-    """Create ``/proc/protego/policy``: the compiled-policy stats of
-    both per-event engines — the AppArmor profile DFAs (states, table
-    size, compile time, query counts) and the netfilter flow cache
-    (entries, generation, hit rates). Registered in both system modes
-    (AppArmor and netfilter exist on stock Linux too); root-only 0600
-    like every other protego control surface."""
+    """Create ``/proc/protego/policy`` (the compiled AppArmor profile
+    DFAs: states, table size, compile time, query counts) and
+    ``/proc/protego/metrics`` (the kernel's counters registry), in both
+    system modes and root-only 0600 like every protego control file."""
 
     def read_policy() -> bytes:
-        sections = ["== apparmor profile DFAs =="]
         apparmor = kernel.lsm.find("apparmor")
-        if apparmor is None:
-            sections.append("no apparmor module\n")
-        else:
-            sections.append(apparmor.render_policy_stats())
-        sections.append("== netfilter flow cache ==")
-        sections.append(kernel.net.netfilter.render())
-        return "\n".join(sections).encode()
+        stats = ("no apparmor module\n" if apparmor is None
+                 else apparmor.render_policy_stats())
+        return f"== apparmor profile DFAs ==\n{stats}".encode()
 
     kernel.procfs.register("protego/policy", read_fn=read_policy, mode=0o600)
+    kernel.procfs.register(
+        "protego/metrics",
+        read_fn=lambda: kernel.metrics.render().encode(),
+        mode=0o600,
+    )
 
 
 def register_fault_proc_files(kernel: Kernel) -> None:

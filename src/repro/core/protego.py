@@ -20,7 +20,8 @@ socket_bind           the /etc/bind port -> (binary, uid) map (4.1.3)
 dev_ioctl             modem configuration, eject of removable media
 route_add             non-conflicting routes over ppp links (4.1.2)
 file_open             reauthentication before shadow reads; binary
-                      ACLs for the ssh host key (4.4, 4.6)
+                      ACLs for the ssh host key (4.4, 4.6), decided
+                      on the opened inode whatever name reached it
 ====================  =================================================
 
 Privileged callers (tasks already holding the relevant capability)
@@ -33,6 +34,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.config.sudoers import ALL
+from repro.core.authdb import SHADOW_FRAGMENT_DIR
 from repro.core.bind_policy import BindPolicy
 from repro.core.delegation import DelegationPolicy, scrub_environment
 from repro.core.mount_policy import MountPolicy
@@ -122,29 +124,44 @@ class ProtegoLSM(SecurityModule):
     # ------------------------------------------------------------------
     def decision_cacheable(self, hook: str, task: Task, *args) -> bool:
         """Veto caching for file opens Protego answers statefully:
-        /etc/shadows/ reads hinge on authentication recency (and may
+        shadow-fragment reads hinge on authentication recency (and may
         prompt), and binary-ACL answers depend on the live ACL. The
-        server consults this at insert time, so a vetoed open is never
-        cached; ACL growth additionally invalidates via
-        :meth:`protect_binary` in case the path was cached before it
-        became sensitive."""
+        server consults this at insert time, on the opened inode, so a
+        vetoed open is never cached under any name; ACL growth
+        additionally flushes via :meth:`protect_binary` in case the
+        file was cached before it became sensitive."""
         if hook == "file_open" and args:
-            path = args[0]
-            if path in self.binary_acl or path.startswith("/etc/shadows/"):
+            inode = args[1]
+            if (self._acl_for(inode) is not None
+                    or self._is_shadow_entry(inode)):
                 return False
         return True
 
     def protect_binary(self, path: str, allowed_exes: Tuple[str, ...]) -> None:
         """Confine *path* to *allowed_exes* (Protego's binary ACL) and
-        drop any decision cached before the path became sensitive —
-        the cacheability veto only guards inserts made after this."""
+        flush every cached decision: one made before the file became
+        sensitive may sit under any of its names, and the cacheability
+        veto only guards inserts made after this."""
         self.binary_acl[path] = tuple(allowed_exes)
-        if self.kernel is not None:
-            self.kernel.generations.invalidate_path(path)
+        self.flush_decisions()
 
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
+    def _acl_for(self, inode: Optional[Inode]) -> Optional[Tuple[str, ...]]:
+        """The binary ACL of the protected path that names *inode* now."""
+        if inode is not None:
+            for path, acl in self.binary_acl.items():
+                if self.kernel.vfs.peek(path) is inode:
+                    return acl
+        return None
+
+    def _is_shadow_entry(self, inode: Optional[Inode]) -> bool:
+        """Whether *inode* is an entry of /etc/shadows, under any name."""
+        shadows = self.kernel.vfs.peek(SHADOW_FRAGMENT_DIR)
+        return (shadows is not None and shadows.is_dir()
+                and inode in shadows.entries.values())
+
     def _now(self) -> int:
         return self.kernel.now() if self.kernel is not None else 0
 
@@ -390,16 +407,16 @@ class ProtegoLSM(SecurityModule):
     # files
     # ------------------------------------------------------------------
     def file_open(self, task: Task, path: str, inode: Inode, flags: int) -> HookResult:
-        acl = self.binary_acl.get(path)
+        acl = self._acl_for(inode)
         if acl is not None and task.exe_path not in acl:
             return HookResult.DENY
-        if path.startswith("/etc/shadows/"):
-            if task.cred.has_cap(Capability.CAP_DAC_OVERRIDE):
-                return HookResult.PASS
-            if not self._recently_authenticated(task):
-                if self.authenticator is None:
-                    return HookResult.DENY
-                if not self.authenticator.authenticate_user(task, task.cred.ruid):
-                    return HookResult.DENY
-                self._stamp(task)
+        if (task.cred.has_cap(Capability.CAP_DAC_OVERRIDE)
+                or not self._is_shadow_entry(inode)):
+            return HookResult.PASS
+        if not self._recently_authenticated(task):
+            if self.authenticator is None:
+                return HookResult.DENY
+            if not self.authenticator.authenticate_user(task, task.cred.ruid):
+                return HookResult.DENY
+            self._stamp(task)
         return HookResult.PASS

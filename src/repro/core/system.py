@@ -267,9 +267,9 @@ class System:
         self.programs: Dict[str, Program] = {}
         self._ttys: Dict[str, TTY] = {}
         register_fault_proc_files(self.kernel)
-        # Compiled-policy stats (profile DFAs + the netfilter flow
-        # cache) exist in both modes: AppArmor and netfilter are part
-        # of the stock baseline too.
+        # Compiled profile DFAs and the counters registry exist in
+        # both modes: AppArmor and the caches are part of the stock
+        # baseline too.
         register_policy_proc_files(self.kernel)
 
         self._provision_accounts(group_passwords or {})

@@ -10,9 +10,9 @@ engine talks to shards for three things:
   the engine folds into fleet totals in batches, plus the lazy
   ``needs_sync`` flag a credential-mutating session raises so daemon
   polls happen per batch, not per op;
-* **observability** — a cache/audit snapshot taken when a run starts
-  and diffed when it ends (:meth:`Shard.report`), surfaced while the
-  run is live at ``/proc/protego/fleet`` on the shard's own procfs.
+* **observability** — one delta of the kernel's counters registry
+  since the run began (:meth:`Shard.report`), surfaced while the run
+  is live at ``/proc/protego/fleet`` on the shard's own procfs.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class Shard:
         self.needs_sync = False
         self.abort_site = self.kernel.faults.site(SITE_SESSION_ABORT)
         self.sync_site = self.kernel.faults.site(SITE_SHARD_SYNC)
-        self._baseline: Dict[str, float] = {}
+        self._baseline: Dict[str, int] = {}
         self._fleet_render = None
         self._register_proc()
 
@@ -98,27 +98,6 @@ class Shard:
     # ------------------------------------------------------------------
     # Snapshots and deltas
     # ------------------------------------------------------------------
-    def _counters(self) -> Dict[str, float]:
-        kernel = self.kernel
-        fp = kernel.fastpath.stats
-        dc = kernel.vfs.dcache.stats
-        av = kernel.security_server.stats
-        ring = kernel.security_server.audit
-        nf = kernel.net.netfilter.stats
-        return {
-            "fp_hits": fp.hits, "fp_lookups": fp.lookups,
-            "fp_stale": fp.stale_evictions,
-            "fp_invalidations": fp.invalidations,
-            "dc_hits": dc.hits, "dc_lookups": dc.lookups,
-            "dc_invalidations": dc.invalidations,
-            "avc_hits": av.hits, "avc_lookups": av.lookups,
-            "avc_invalidations": av.invalidations,
-            "flow_hits": nf["flow_hits"],
-            "flow_lookups": nf["flow_hits"] + nf["flow_misses"],
-            "audit_seq": ring.seq, "audit_dropped": ring.dropped,
-            "audit_lost": ring.lost, "audit_rescued": ring.rescued_denials,
-        }
-
     def begin_run(self) -> None:
         self.sessions = self.completed = self.failed = 0
         self.ops = self.syncs = 0
@@ -127,7 +106,7 @@ class Shard:
         self.degraded_ops = self.hard_failures = self.sync_postponed = 0
         self.chaos = self.kernel.faults.any_armed
         self.needs_sync = False
-        self._baseline = self._counters()
+        self._baseline = self.kernel.metrics.snapshot()
 
     def count_abort(self, errno_name: str) -> None:
         self.aborted += 1
@@ -135,9 +114,9 @@ class Shard:
             self.abort_errnos.get(errno_name, 0) + 1
 
     def report(self) -> ShardReport:
-        now = self._counters()
-        base = self._baseline or {key: 0 for key in now}
-        delta = {key: now[key] - base.get(key, 0) for key in now}
+        d = self.kernel.metrics.delta(self._baseline)
+        fp_hits = d["kernel.fastpath.hits"]
+        flow_hits = d["kernel.netfilter.flow_hits"]
         return ShardReport(
             index=self.index,
             hostname=self.kernel.hostname,
@@ -146,20 +125,22 @@ class Shard:
             failed=self.failed,
             ops=self.ops,
             syncs=self.syncs,
-            fastpath_hit_rate=_hit_rate(delta["fp_hits"], delta["fp_lookups"]),
-            dcache_hit_rate=_hit_rate(delta["dc_hits"], delta["dc_lookups"]),
-            decision_hit_rate=_hit_rate(delta["avc_hits"],
-                                        delta["avc_lookups"]),
-            flow_hit_rate=_hit_rate(delta["flow_hits"],
-                                    delta["flow_lookups"]),
-            fastpath_stale_evictions=int(delta["fp_stale"]),
-            invalidations=int(delta["fp_invalidations"]
-                              + delta["dc_invalidations"]
-                              + delta["avc_invalidations"]),
-            audit_appended=int(delta["audit_seq"]),
-            audit_dropped=int(delta["audit_dropped"]),
-            audit_lost=int(delta["audit_lost"]),
-            audit_rescued=int(delta["audit_rescued"]),
+            fastpath_hit_rate=_hit_rate(
+                fp_hits, fp_hits + d["kernel.fastpath.misses"]),
+            dcache_hit_rate=_hit_rate(d["kernel.dcache.hits"],
+                                      d["kernel.dcache.lookups"]),
+            decision_hit_rate=_hit_rate(d["kernel.avc.hits"],
+                                        d["kernel.avc.lookups"]),
+            flow_hit_rate=_hit_rate(
+                flow_hits, flow_hits + d["kernel.netfilter.flow_misses"]),
+            fastpath_stale_evictions=d["kernel.fastpath.stale_evictions"],
+            invalidations=(d["kernel.fastpath.invalidations"]
+                           + d["kernel.dcache.invalidations"]
+                           + d["kernel.avc.invalidations"]),
+            audit_appended=d["kernel.audit.seq"],
+            audit_dropped=d["kernel.audit.dropped"],
+            audit_lost=d["kernel.audit.lost"],
+            audit_rescued=d["kernel.audit.rescued_denials"],
             aborted=self.aborted,
             abort_errnos=dict(self.abort_errnos),
             sync_postponed=self.sync_postponed,

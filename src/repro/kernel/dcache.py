@@ -33,8 +33,8 @@ cleared by the prefix invalidation any create performs. Walks that
 cross a symlink are never cached: their result depends on paths other
 than the key, which prefix invalidation could not see.
 
-Counters mirror ``/sys/kernel/debug``-style dcache stats and are
-rendered at ``/proc/protego/dcache`` next to the audit ring.
+Counters mirror ``/sys/kernel/debug``-style dcache stats and are read
+by the kernel's counters registry as ``kernel.dcache.*``.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ MAX_CREDS = 256
 
 @dataclasses.dataclass
 class DcacheStats:
-    """Dentry-cache counters (the /proc/protego/dcache payload)."""
+    """Dentry-cache counters (``kernel.dcache.*`` in the registry)."""
 
     lookups: int = 0
     hits: int = 0
@@ -82,10 +82,6 @@ class DcacheStats:
     #: Insertions refused by an injected allocation failure — the walk
     #: result was still correct, it just stayed uncached.
     alloc_failures: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
 
 
 class Dentry:
@@ -145,11 +141,6 @@ class DentryCache:
         #: uncached walks — never to a wrong answer. Rebound to the
         #: kernel's shared injector at boot.
         self.fault_site = FaultSite(SITE_DCACHE_ALLOC)
-
-    @property
-    def mount_epoch(self) -> int:
-        """The mount-table generation (hub-owned)."""
-        return self.generations.mount
 
     # ------------------------------------------------------------------
     # Path map
@@ -226,17 +217,3 @@ class DentryCache:
     def cached_paths(self):
         """The path identities currently cached (tests poke this)."""
         return {key[1] for key in self._entries}
-
-    def render(self) -> str:
-        """The /proc/protego/dcache payload."""
-        s = self.stats
-        return (
-            f"entries={len(self._entries)} perm_creds={len(self._perms)} "
-            f"mount_epoch={self.mount_epoch} enabled={int(self.enabled)}\n"
-            f"lookups={s.lookups} hits={s.hits} misses={s.misses} "
-            f"negative_hits={s.negative_hits} hit_rate={s.hit_rate:.3f}\n"
-            f"walks={s.walks} perm_hits={s.perm_hits} "
-            f"perm_misses={s.perm_misses} "
-            f"invalidations={s.invalidations} flushes={s.flushes} "
-            f"alloc_failures={s.alloc_failures}\n"
-        )

@@ -23,6 +23,9 @@ single argument. The ``entry.mask`` fault site fails **closed**: under
 an injected fault the gate still computes the correct mask — it only
 refuses to cache it, so a fault can slow a task down but never widen
 what it may call.
+
+Counters: :class:`EntryGateStats` (``kernel.entry.*`` in the kernel's
+registry); an entry bumps ``mask_hits`` or ``mask_recomputes``.
 """
 
 from __future__ import annotations
@@ -80,13 +83,6 @@ class EntryGateStats:
         self.rejections = 0
         self.uncached_recomputes = 0
 
-    @property
-    def checks(self) -> int:
-        """Every entry either hits the cached mask or recomputes it,
-        so the check total is derived — the per-syscall preamble pays
-        one counter bump, not two."""
-        return self.mask_hits + self.mask_recomputes
-
 
 class EntryGate:
     """The per-kernel syscall-entry bitmask checker. The check itself
@@ -128,14 +124,3 @@ class EntryGate:
     def unrestrict(self, task) -> None:
         task.entry_allowed = None
         task.entry_mask = None
-
-    # ------------------------------------------------------------------
-    def render(self) -> str:
-        """Stat lines for /proc/protego/fastpath."""
-        s = self.stats
-        return (
-            f"entry_checks={s.checks} mask_hits={s.mask_hits} "
-            f"mask_recomputes={s.mask_recomputes} "
-            f"uncached_recomputes={s.uncached_recomputes}\n"
-            f"bitmask_rejections={s.rejections}\n"
-        )

@@ -47,6 +47,9 @@ The insert is a fault-injection point (``fastpath.insert``): under an
 injected fault the insert becomes a counted no-op — the syscall
 already holds the layered verdict, so degradation is a slower answer,
 never a different one.
+
+Counters: :class:`FastPathStats` (``kernel.fastpath.*`` in the
+kernel's registry); a probe bumps ``hits`` or ``misses``, never both.
 """
 
 from __future__ import annotations
@@ -93,12 +96,6 @@ class FastPathStats:
         self.invalidations = 0
         self.flushes = 0
         self.alloc_failures = 0
-
-    @property
-    def lookups(self) -> int:
-        """Every probe ends in a hit or a miss, so the total is
-        derived — the hot path pays one counter bump, not two."""
-        return self.hits + self.misses
 
 
 class FastPathTable:
@@ -157,21 +154,3 @@ class FastPathTable:
     def flush(self) -> None:
         self.table.clear()
         self.stats.flushes += 1
-
-    # ------------------------------------------------------------------
-    def render(self) -> str:
-        """The /proc/protego/fastpath payload (matches the dcache /
-        policy stat-file shape)."""
-        s = self.stats
-        denials = sum(1 for v in self.table.values() if v.errno is not None)
-        rate = s.hits / s.lookups if s.lookups else 0.0
-        return (
-            f"entries={len(self.table)} denials={denials} "
-            f"max_entries={MAX_ENTRIES} enabled={int(self.enabled)}\n"
-            f"{self.generations.render()}\n"
-            f"lookups={s.lookups} hits={s.hits} misses={s.misses} "
-            f"hit_rate={rate:.3f}\n"
-            f"stale_evictions={s.stale_evictions} insertions={s.insertions} "
-            f"invalidations={s.invalidations} flushes={s.flushes} "
-            f"alloc_failures={s.alloc_failures}\n"
-        )

@@ -32,6 +32,8 @@ different context, hence a different SID, so its old entries are
 orphaned by keying (flushing would evict every other subject's entries
 too), while two sessions of one user running one binary share a SID
 and therefore share their cached verdicts.
+
+The three domains are registry counters, ``kernel.generations.*``.
 """
 
 from __future__ import annotations
@@ -128,11 +130,3 @@ class GenerationHub:
         subscribed cache to drop the prefix."""
         for listener in self._path_listeners:
             listener(path)
-
-    # ------------------------------------------------------------------
-    def render(self) -> str:
-        """One line of generation state (embedded in /proc payloads)."""
-        return f"mount={self.mount} policy={self.policy} cred={self.cred}"
-
-    def __repr__(self) -> str:
-        return f"GenerationHub({self.render()})"

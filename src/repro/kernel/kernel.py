@@ -35,6 +35,7 @@ from repro.kernel.fault import (
 from repro.kernel.generations import GenerationHub
 from repro.kernel.inode import Inode, make_dir
 from repro.kernel.lsm import LSMChain, SecurityModule
+from repro.kernel.metrics import MetricsRegistry
 from repro.kernel.net.stack import NetworkStack
 from repro.kernel.procfs import PseudoFilesystem, make_procfs, make_sysfs
 from repro.kernel.security import SecurityServer
@@ -106,6 +107,21 @@ class Kernel(SyscallMixin):
             self.faults.site(SITE_NET_DUP),
             self.faults.site(SITE_NET_REORDER),
         )
+        # One counters registry (/proc/protego/metrics, fleet reports).
+        metrics = self.metrics = MetricsRegistry()
+        server, netfilter = self.security_server, self.net.netfilter
+        metrics.register("entry", self.entry_gate.stats)
+        metrics.register("fastpath", self.fastpath.stats,
+                         entries=self.fastpath.__len__)
+        metrics.register("dcache", self.vfs.dcache.stats,
+                         entries=self.vfs.dcache.entry_count)
+        metrics.register("avc", server.stats, entries=server.cache_len)
+        metrics.register("audit", server.audit,
+                         ("seq", "dropped", "lost", "rescued_denials"))
+        metrics.register("netfilter", netfilter.stats,
+                         entries=netfilter.flow_cache_len)
+        metrics.register("generations", self.generations,
+                         ("mount", "policy", "cred"))
         self._syscall_fault = self.faults.site(SITE_SYSCALL_ENTRY)
         self._proc_write_fault = self.faults.site(SITE_PROC_WRITE)
         self.tasks: Dict[int, Task] = {}

@@ -98,24 +98,24 @@ class NetfilterTable:
     transport predicate, and the socket's identity (id + the
     unprivileged-raw mark) — so two packets with equal keys are
     indistinguishable to *any* rule and the cached verdict is exact.
-    Invalidation is generation-based: every ``append``/``insert``/
-    ``extend``/``flush`` and every policy assignment bumps the
-    generation and empties the cache, so a rule change can never be
-    masked by a stale verdict. Rule objects must not be mutated in
-    place after insertion — route changes through these methods.
+    Every ``append``/``insert``/``extend``/``flush`` and every policy
+    assignment empties the cache, so every held entry was computed
+    under the current rules and a rule change can never be masked by a
+    stale verdict. Rule objects must not be mutated in place after
+    insertion — route changes through these methods.
 
     The cache decides the *verdict only*. Injected wire faults
     (drop/dup/reorder) act on the send path strictly after
-    ``evaluate`` returns, cached or not.
+    ``evaluate`` returns, cached or not. The ``stats`` dict is read by
+    the kernel's counters registry as ``kernel.netfilter.*``.
     """
 
     FLOW_CACHE_SIZE = 4096
 
     def __init__(self):
         self._chains = {chain: [] for chain in Chain}
-        self.generation = 0
         self.flow_cache_enabled = True
-        self._flows: "collections.OrderedDict[tuple, Tuple[int, Verdict, bool]]" = (
+        self._flows: "collections.OrderedDict[tuple, Tuple[Verdict, bool]]" = (
             collections.OrderedDict())
         self.stats = {"evaluated": 0, "dropped": 0, "accepted": 0,
                       "flow_hits": 0, "flow_misses": 0,
@@ -149,8 +149,7 @@ class NetfilterTable:
     # The flow cache
     # ------------------------------------------------------------------
     def invalidate_flows(self) -> None:
-        """A rule or policy changed: orphan every memoized verdict."""
-        self.generation += 1
+        """A rule or policy changed: drop every memoized verdict."""
         self._flows.clear()
         self.stats["flow_invalidations"] += 1
 
@@ -168,21 +167,6 @@ class NetfilterTable:
     def flow_cache_len(self) -> int:
         return len(self._flows)
 
-    def render(self) -> str:
-        """The flow-cache block of /proc/protego/policy."""
-        s = self.stats
-        lookups = s["flow_hits"] + s["flow_misses"]
-        hit_rate = s["flow_hits"] / lookups if lookups else 0.0
-        rule_count = sum(len(rules) for rules in self._chains.values())
-        return (
-            f"entries={len(self._flows)} generation={self.generation} "
-            f"rules={rule_count} enabled={int(self.flow_cache_enabled)}\n"
-            f"hits={s['flow_hits']} misses={s['flow_misses']} "
-            f"invalidations={s['flow_invalidations']} hit_rate={hit_rate:.3f}\n"
-            f"evaluated={s['evaluated']} accepted={s['accepted']} "
-            f"dropped={s['dropped']}\n"
-        )
-
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
@@ -197,9 +181,9 @@ class NetfilterTable:
         if self.flow_cache_enabled:
             key = self._flow_key(chain, packet, socket)
             entry = self._flows.get(key)
-            if entry is not None and entry[0] == self.generation:
+            if entry is not None:
                 self.stats["flow_hits"] += 1
-                return self._tally(entry[1]), entry[2]
+                return self._tally(entry[0]), entry[1]
             self.stats["flow_misses"] += 1
         verdict, matched = self.policy[chain], False
         for rule in self._chains[chain]:
@@ -209,7 +193,7 @@ class NetfilterTable:
         if key is not None:
             if len(self._flows) >= self.FLOW_CACHE_SIZE:
                 self._flows.popitem(last=False)
-            self._flows[key] = (self.generation, verdict, matched)
+            self._flows[key] = (verdict, matched)
         return self._tally(verdict), matched
 
     def _tally(self, verdict: Verdict) -> Verdict:

@@ -97,9 +97,15 @@ CACHE_SIZE = 2048
 AUDIT_SIZE = 4096
 
 
+def _hook_args(req: AccessRequest, value: Any) -> tuple:
+    """*req*'s hook arguments with the resolved object in place of OBJ."""
+    return tuple(value if arg is OBJ else arg for arg in req.args)
+
+
 @dataclasses.dataclass
 class CacheStats:
-    """Decision-cache counters (mirrors /sys/fs/selinux/avc/cache_stats)."""
+    """Decision-cache counters (``kernel.avc.*``; mirrors
+    /sys/fs/selinux/avc/cache_stats)."""
 
     lookups: int = 0
     hits: int = 0
@@ -112,10 +118,6 @@ class CacheStats:
     #: decision was still computed and returned, it just went uncached
     #: (the fail-closed degradation — never a stale answer).
     alloc_failures: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
 
 
 class SecurityServer:
@@ -163,11 +165,12 @@ class SecurityServer:
             self._decide(req)
         # The module cacheability veto runs at insert time only: a
         # vetoed decision is never inserted, so no hit can ever serve
-        # it, and hits stay a pure dict probe. Modules whose veto set
-        # mutates at runtime must invalidate on mutation (the binary
-        # ACL does; profile loads flush globally).
-        cache_ok = (key is not None
-                    and self.lsm.cache_ok(req.hook, req.task, *req.args))
+        # it, and hits stay a pure dict probe. It sees the hook's own
+        # arguments. Modules whose veto set mutates at runtime must
+        # invalidate on mutation (binary-ACL growth and profile loads
+        # flush globally).
+        cache_ok = key is not None and self.lsm.cache_ok(
+            req.hook, req.task, *_hook_args(req, value))
         # The same veto governs the fused fast path: a decision no
         # module objects to memoizing may be fused upstream (the
         # syscall layer still requires a cached dentry). The flag is
@@ -229,7 +232,8 @@ class SecurityServer:
     def _decide(self, req: AccessRequest) -> _Outcome:
         """Compose the layers for *req*. Returns the decision's fields
         other than ``hook``, ``obj`` and ``fastpath_ok``, which
-        :meth:`check` adds when it builds the one :class:`Decision`."""
+        :meth:`check` adds when it builds the one :class:`Decision`;
+        ``value`` (what the DAC step resolved) survives an LSM denial."""
         value = None
         if req.dac is not None:
             try:
@@ -248,10 +252,11 @@ class SecurityServer:
                                    lsm_module=setuid_decision.module,
                                    pending=setuid_decision.pending, value=value)
         else:
-            hook_args = tuple(value if a is OBJ else a for a in req.args)
-            result, module = self.lsm.call_detailed(req.hook, req.task, *hook_args)
+            result, module = self.lsm.call_detailed(
+                req.hook, req.task, *_hook_args(req, value))
             if result is HookResult.DENY:
-                return self._deny(req, module or "lsm", lsm_module=module)
+                return self._deny(req, module or "lsm", lsm_module=module,
+                                  value=value)
             if result is HookResult.ALLOW:
                 return self._allow(req, module or "lsm", lsm_module=module,
                                    value=value)
@@ -275,13 +280,14 @@ class SecurityServer:
         return (Verdict.ALLOW, layer, None, "", lsm_module, pending, value)
 
     def _deny(self, req: AccessRequest, layer: str, errno: Optional[Errno] = None,
-              lsm_module: Optional[str] = None, detail: str = "") -> _Outcome:
+              lsm_module: Optional[str] = None, detail: str = "",
+              value: Any = None) -> _Outcome:
         context = f"{layer}:{req.hook}"
         extra = detail or req.context
         if extra:
             context = f"{context}: {extra}"
         return (Verdict.DENY, layer, errno or req.deny_errno, context,
-                lsm_module, None, None)
+                lsm_module, None, value)
 
     # ------------------------------------------------------------------
     # Cache keying and invalidation

@@ -284,6 +284,15 @@ class VFS:
         callers); one cached walk."""
         return self.lookup(path, follow_final_symlink=follow_final_symlink)
 
+    def peek(self, path: str) -> Optional[Inode]:
+        """The inode *path* names now, or None: an unchecked walk that
+        skips the dentry cache and its counters, so policy code can
+        compare objects without perturbing what the caches report."""
+        try:
+            return self._walk(path, True)[0]
+        except SyscallError:
+            return None
+
     def path_permission(self, cred: Credentials, path: str, mask: int) -> Inode:
         """Walk *path* checking execute (search) on every directory,
         then *mask* on the final inode. Returns the final inode.

@@ -189,12 +189,16 @@ class TestProcPolicyFile:
         payload = system.kernel.read_file(root, "/proc/protego/policy").decode()
         assert "== apparmor profile DFAs ==" in payload
         assert "profile /bin/ping:" in payload
-        assert "== netfilter flow cache ==" in payload
-        assert "generation=" in payload
+        # The flow cache reports through /proc/protego/metrics.
+        assert "netfilter" not in payload
+        metrics = system.kernel.read_file(root, "/proc/protego/metrics")
+        assert b"kernel.netfilter.flow_hits " in metrics
 
     def test_policy_proc_file_exists_on_stock_linux_too(self):
         from repro.core import System, SystemMode
         system = System(SystemMode.LINUX)
         root = system.root_session()
         payload = system.kernel.read_file(root, "/proc/protego/policy").decode()
-        assert "netfilter flow cache" in payload
+        assert "== apparmor profile DFAs ==" in payload
+        metrics = system.kernel.read_file(root, "/proc/protego/metrics")
+        assert b"kernel.netfilter.flow_hits " in metrics

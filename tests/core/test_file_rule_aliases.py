@@ -1,0 +1,128 @@
+"""Protego's file rules follow the object, not the name.
+
+The binary ACL on the ssh host key and the reauthentication rule on
+the ``/etc/shadows`` fragments are decided on the opened inode. A
+symlink or a hard link that an unprivileged user makes to a protected
+file therefore reaches the same rule as the file's configured name, and
+no decision about such an alias is cached or fused. On stock Linux the
+same aliases are refused by DAC.
+"""
+
+import pytest
+
+from repro.core import System, SystemMode
+from repro.core.recency import stamp_authentication
+from repro.kernel.errno import Errno, SyscallError
+
+HOST_KEY = "/etc/ssh/ssh_host_key"
+ALICE_SHADOW = "/etc/shadows/alice"
+ALIAS = "/home/alice/alias"
+
+
+def _alias(kernel, task, how, target):
+    if how == "symlink":
+        kernel.sys_symlink(task, target, ALIAS)
+    else:
+        kernel.sys_link(task, target, ALIAS)
+
+
+@pytest.mark.parametrize("how", ["symlink", "hard link"])
+@pytest.mark.parametrize("target", [HOST_KEY, ALICE_SHADOW])
+def test_an_alias_reaches_the_protected_object_rule(how, target):
+    system = System(SystemMode.PROTEGO)
+    kernel = system.kernel
+    alice = system.session_for("alice")
+    with pytest.raises(SyscallError) as direct:
+        kernel.read_file(alice, target)
+    _alias(kernel, alice, how, target)
+    with pytest.raises(SyscallError) as aliased:
+        kernel.read_file(alice, ALIAS)
+    assert aliased.value.errno_value == Errno.EACCES
+    assert aliased.value.context == direct.value.context == "protego:file_open"
+
+
+@pytest.mark.parametrize("how", ["symlink", "hard link"])
+@pytest.mark.parametrize("target", [HOST_KEY, "/etc/shadow"])
+def test_stock_linux_refuses_the_same_aliases(how, target):
+    system = System(SystemMode.LINUX)
+    kernel = system.kernel
+    alice = system.session_for("alice")
+    _alias(kernel, alice, how, target)
+    with pytest.raises(SyscallError) as aliased:
+        kernel.read_file(alice, ALIAS)
+    assert aliased.value.errno_value == Errno.EACCES
+    assert aliased.value.context.startswith("dac:file_open")
+
+
+@pytest.mark.parametrize("how", ["symlink", "hard link"])
+def test_the_host_key_acl_admits_its_binary_through_an_alias(how):
+    system = System(SystemMode.PROTEGO)
+    kernel = system.kernel
+    alice = system.session_for("alice")
+    _alias(kernel, alice, how, HOST_KEY)
+    alice.exe_path = "/usr/lib/openssh/ssh-keysign"
+    assert kernel.read_file(alice, ALIAS).startswith(b"HOSTKEY")
+
+
+@pytest.mark.parametrize("how", ["symlink", "hard link"])
+def test_an_alias_open_of_a_shadow_fragment_is_never_cached(how):
+    system = System(SystemMode.PROTEGO)
+    kernel = system.kernel
+    alice = system.session_for("alice")
+    _alias(kernel, alice, how, ALICE_SHADOW)
+    stamp_authentication(alice, kernel.now())
+    for _ in range(3):
+        assert kernel.read_file(alice, ALIAS).startswith(b"alice:")
+    assert ALIAS not in {key[1] for key in kernel.fastpath.table}
+    # Once the authentication is stale, the alias is refused again: no
+    # cached or fused ALLOW outlives the recency window.
+    kernel.clock += system.protego._auth_window_ticks() + 1
+    with pytest.raises(SyscallError) as err:
+        kernel.read_file(alice, ALIAS)
+    assert err.value.errno_value == Errno.EACCES
+
+
+@pytest.mark.parametrize("how", ["symlink", "hard link"])
+def test_a_denied_alias_open_prompts_again(how):
+    system = System(SystemMode.PROTEGO)
+    kernel = system.kernel
+    alice = system.session_for("alice")
+    _alias(kernel, alice, how, ALICE_SHADOW)
+    with pytest.raises(SyscallError):
+        kernel.read_file(alice, ALIAS)
+    # No cached or fused DENY: the next open asks for the password.
+    alice.tty.feed("alice-password")
+    assert kernel.read_file(alice, ALIAS).startswith(b"alice:")
+
+
+def test_the_cacheability_veto_covers_every_name_of_the_object():
+    system = System(SystemMode.PROTEGO)
+    kernel = system.kernel
+    protego = system.protego
+    alice = system.session_for("alice")
+    kernel.sys_link(alice, HOST_KEY, ALIAS)
+    inode = kernel.vfs.resolve(HOST_KEY)
+    assert kernel.vfs.resolve(ALIAS) is inode
+    for name in (HOST_KEY, ALIAS):
+        assert not protego.decision_cacheable("file_open", alice, name,
+                                              inode, 0)
+    fstab = kernel.vfs.resolve("/etc/fstab")
+    assert protego.decision_cacheable("file_open", alice, "/etc/fstab",
+                                      fstab, 0)
+
+
+def test_protecting_a_file_drops_decisions_cached_under_its_aliases():
+    system = System(SystemMode.PROTEGO)
+    kernel = system.kernel
+    root = system.root_session()
+    alice = system.session_for("alice")
+    kernel.sys_mkdir(root, "/opt")
+    kernel.write_file(root, "/opt/appkey", b"APPKEY")
+    kernel.sys_chmod(root, "/opt/appkey", 0o644)
+    kernel.sys_link(alice, "/opt/appkey", ALIAS)
+    for _ in range(3):
+        assert kernel.read_file(alice, ALIAS) == b"APPKEY"
+    system.protego.protect_binary("/opt/appkey", ("/usr/bin/app",))
+    with pytest.raises(SyscallError) as err:
+        kernel.read_file(alice, ALIAS)
+    assert err.value.errno_value == Errno.EACCES

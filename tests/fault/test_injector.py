@@ -232,8 +232,9 @@ class TestDcacheDegradation:
         with kernel.faults.inject(SITE_DCACHE_ALLOC):
             kernel.sys_stat(system.session_for("alice"), "/etc/fstab")
         text = kernel.read_file(system.root_session(),
-                                "/proc/protego/dcache").decode()
-        assert "alloc_failures=" in text
+                                "/proc/protego/metrics").decode()
+        rendered = dict(line.split(" ") for line in text.splitlines())
+        assert int(rendered["kernel.dcache.alloc_failures"]) > 0
 
 
 class TestDecisionCacheDegradation:

@@ -17,21 +17,12 @@ TENANTS = ["t00", "t01"]
 
 
 def _observables(kernel):
-    """Everything shard-local that cross-shard leakage could perturb."""
-    fp = kernel.fastpath.stats
-    dc = kernel.vfs.dcache.stats
-    av = kernel.security_server.stats
-    ring = kernel.security_server.audit
-    hub = kernel.generations
+    """Everything shard-local that cross-shard leakage could perturb:
+    every registry counter (generations, cache counters and sizes,
+    audit-ring pressure), the audit rows and the fault counters."""
     return {
-        "mount_gen": hub.mount,
-        "policy_gen": hub.policy,
-        "cred_epoch": hub.cred,
-        "fp": (fp.lookups, fp.hits, fp.invalidations, fp.stale_evictions),
-        "dc": (dc.lookups, dc.hits, dc.invalidations),
-        "avc": (av.lookups, av.hits),
-        "audit_seq": ring.seq,
-        "audit_render": ring.render(),
+        "metrics": kernel.metrics.snapshot(),
+        "audit_render": kernel.security_server.audit.render(),
         "faults": tuple((site.name, site.calls, site.injected)
                         for site in kernel.faults.sites()),
     }
@@ -101,12 +92,16 @@ def test_churn_is_visible_on_the_mutated_shard():
     """The control: the same churn must move A's own observables —
     otherwise the isolation assertion above is vacuous."""
     shard_a, shard_b = build_shards(SystemMode.PROTEGO, 2, tenants=TENANTS)
-    before = _observables(shard_a.kernel)
+    before = _observables(shard_a.kernel)["metrics"]
     _churn(shard_a)
-    after = _observables(shard_a.kernel)
-    assert after["audit_seq"] > before["audit_seq"]
-    assert after["mount_gen"] > before["mount_gen"]
-    assert after["dc"] != before["dc"]
+    after = _observables(shard_a.kernel)["metrics"]
+    assert after["kernel.audit.seq"] > before["kernel.audit.seq"]
+    assert after["kernel.generations.mount"] \
+        > before["kernel.generations.mount"]
+    dcache = ("kernel.dcache.lookups", "kernel.dcache.hits",
+              "kernel.dcache.invalidations")
+    assert [after[name] for name in dcache] \
+        != [before[name] for name in dcache]
 
 
 def test_report_invalidations_sum_every_path_keyed_cache():

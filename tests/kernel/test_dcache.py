@@ -9,7 +9,7 @@ create-after-ENOENT, chmod, setuid — is ever masked by a stale hit.
 
 import pytest
 
-from repro.core.procfiles import DCACHE_PROC_PATH
+from repro.core.procfiles import METRICS_PROC_PATH
 from repro.core.system import System, SystemMode
 from repro.kernel import Kernel, modes
 from repro.kernel.cred import Credentials
@@ -207,11 +207,15 @@ class TestMutationInvalidation:
         assert kernel.read_file(root, "/mnt/disk/file") == b"under"
 
     def test_mount_change_bumps_the_epoch(self, kernel, root):
-        epoch = kernel.vfs.dcache.mount_epoch
+        # The mount generation is the hub's; the registry reads it.
+        def epoch():
+            return kernel.metrics.snapshot()["kernel.generations.mount"]
+
+        before = epoch()
         kernel.sys_mount(root, "none", "/mnt", "tmpfs")
-        assert kernel.vfs.dcache.mount_epoch == epoch + 1
+        assert epoch() == before + 1
         kernel.sys_umount(root, "/mnt")
-        assert kernel.vfs.dcache.mount_epoch == epoch + 2
+        assert epoch() == before + 2
 
 
 class TestPermissionInvalidation:
@@ -304,19 +308,29 @@ class TestMountTrie:
 
 
 class TestProcFile:
+    """The dcache's counters are served by /proc/protego/metrics."""
+
     def test_dcache_proc_file_renders_counters(self):
         system = System(SystemMode.PROTEGO)
         kernel = system.kernel
         root = system.root_session()
+        kernel.fastpath.enabled = False  # let the stats reach the dcache
         kernel.sys_stat(root, "/etc/fstab")
+        before = kernel.metrics.snapshot()
         kernel.sys_stat(root, "/etc/fstab")
-        text = kernel.read_file(root, DCACHE_PROC_PATH).decode()
-        assert "lookups=" in text and "hits=" in text
-        assert "walks=" in text and "mount_epoch=" in text
+        after = kernel.metrics.snapshot()
+        # The warm stat was one dcache hit and no walk.
+        assert after["kernel.dcache.hits"] == before["kernel.dcache.hits"] + 1
+        assert after["kernel.dcache.walks"] == before["kernel.dcache.walks"]
+        text = kernel.read_file(root, METRICS_PROC_PATH).decode()
+        names = {line.split(" ")[0] for line in text.splitlines()}
+        assert {"kernel.dcache.lookups", "kernel.dcache.hits",
+                "kernel.dcache.walks", "kernel.dcache.entries",
+                "kernel.generations.mount"} <= names
 
     def test_dcache_proc_file_is_root_only(self):
         system = System(SystemMode.PROTEGO)
         kernel = system.kernel
         alice = system.session_for("alice")
         with pytest.raises(SyscallError):
-            kernel.sys_open(alice, DCACHE_PROC_PATH)
+            kernel.sys_open(alice, METRICS_PROC_PATH)

@@ -17,12 +17,12 @@ layered caches:
 * the SFIP-style entry gate rejects out-of-mask syscalls with EPERM
   before argument processing, and a confinement survives credential
   commits and fork until it is lifted;
-* /proc/protego/fastpath renders the whole plane, root-only.
+* /proc/protego/metrics renders the whole plane's counters, root-only.
 """
 
 import pytest
 
-from repro.core.procfiles import FASTPATH_PROC_PATH
+from repro.core.procfiles import METRICS_PROC_PATH
 from repro.core.system import System, SystemMode
 from repro.kernel import Kernel, modes
 from repro.kernel.cred import Credentials
@@ -108,7 +108,7 @@ class TestFusedHits:
         kernel.fastpath.enabled = False
         kernel.sys_stat(root, path)
         kernel.sys_stat(root, path)
-        assert kernel.fastpath.stats.lookups == 0
+        assert kernel.fastpath.stats.hits + kernel.fastpath.stats.misses == 0
         assert len(kernel.fastpath) == 0
 
 
@@ -217,10 +217,11 @@ class TestGenerationStaleness:
 class TestCacheabilityEdges:
     def test_o_creat_bypasses_the_table(self, kernel, root):
         kernel.sys_mkdir(root, "/tmp2")
-        lookups_before = kernel.fastpath.stats.lookups
+        stats = kernel.fastpath.stats
+        lookups_before = stats.hits + stats.misses
         fd = kernel.sys_open(root, "/tmp2/new", modes.O_WRONLY | modes.O_CREAT)
         kernel.sys_close(root, fd)
-        assert kernel.fastpath.stats.lookups == lookups_before
+        assert stats.hits + stats.misses == lookups_before
         assert len(kernel.fastpath) == 0
 
     def test_negative_stat_fuses_and_create_unfuses(self, kernel, root):
@@ -454,8 +455,10 @@ class TestGenerationHub:
         assert kernel.vfs.dcache.generations is hub
         assert kernel.security_server.generations is hub
         assert kernel.fastpath.generations is hub
-        # The dcache's old mount_epoch is now a view of the hub.
-        assert kernel.vfs.dcache.mount_epoch == hub.mount
+        # A dcache mount bump is the hub's.
+        before = hub.mount
+        kernel.vfs.dcache.bump_mount_epoch()
+        assert hub.mount == before + 1
 
 
 # ======================================================================
@@ -470,7 +473,7 @@ class TestVerdictForms:
 
 
 # ======================================================================
-# /proc/protego/fastpath
+# The fast-path plane in /proc/protego/metrics
 # ======================================================================
 class TestFastpathProcFile:
     def test_renders_table_hub_and_gate_counters(self):
@@ -479,16 +482,26 @@ class TestFastpathProcFile:
         root = system.root_session()
         kernel.sys_stat(root, "/etc/fstab")
         kernel.sys_stat(root, "/etc/fstab")
-        text = kernel.read_file(root, FASTPATH_PROC_PATH).decode()
-        assert "entries=" in text and "hit_rate=" in text
-        assert "mount=" in text and "policy=" in text
-        assert "entry_checks=" in text and "bitmask_rejections=" in text
-        assert "stale_evictions=" in text
+        text = kernel.read_file(root, METRICS_PROC_PATH).decode()
+        rendered = dict(line.split(" ") for line in text.splitlines())
+        for name in ("kernel.fastpath.entries", "kernel.fastpath.hits",
+                     "kernel.fastpath.misses", "kernel.fastpath.insertions",
+                     "kernel.fastpath.stale_evictions",
+                     "kernel.generations.mount", "kernel.generations.policy",
+                     "kernel.entry.mask_hits", "kernel.entry.mask_recomputes",
+                     "kernel.entry.rejections"):
+            assert name in rendered
+        # The second stat was a fused hit; reading the file bumps no
+        # generation.
+        assert int(rendered["kernel.fastpath.hits"]) >= 1
+        hub = kernel.generations
+        assert int(rendered["kernel.generations.mount"]) == hub.mount
+        assert int(rendered["kernel.generations.policy"]) == hub.policy
 
     def test_root_only(self):
         system = System(SystemMode.PROTEGO)
         kernel = system.kernel
         alice = system.session_for("alice")
         with pytest.raises(SyscallError) as excinfo:
-            kernel.read_file(alice, FASTPATH_PROC_PATH)
+            kernel.read_file(alice, METRICS_PROC_PATH)
         assert excinfo.value.errno_value == Errno.EACCES

@@ -143,23 +143,25 @@ class TestInvalidation:
         table.policy[Chain.OUTPUT] = Verdict.DROP
         assert table.evaluate(Chain.OUTPUT, pkt) is Verdict.DROP
 
-    def test_generation_and_counters(self):
+    def test_each_rule_change_counts_one_invalidation(self):
         table = NetfilterTable()
-        before = table.generation
+        before = table.stats["flow_invalidations"]
         table.append(Rule(Verdict.DROP))
         table.flush()
-        assert table.generation == before + 2
-        assert table.stats["flow_invalidations"] >= 2
+        assert table.stats["flow_invalidations"] == before + 2
         assert table.flow_cache_len() == 0
 
     def test_render(self):
-        table = NetfilterTable()
+        # The flow counters are rendered by the kernel's registry.
+        kernel = Kernel()
+        table = kernel.net.netfilter
         pkt = ping()
         table.evaluate(Chain.OUTPUT, pkt)
         table.evaluate(Chain.OUTPUT, pkt)
-        text = table.render()
-        assert "hits=1 misses=1" in text
-        assert "hit_rate=0.500" in text
+        text = kernel.metrics.render()
+        assert "kernel.netfilter.flow_hits 1\n" in text
+        assert "kernel.netfilter.flow_misses 1\n" in text
+        assert "kernel.netfilter.entries 1\n" in text
 
 
 class TestFaultSubordination:
