@@ -53,7 +53,9 @@ GROUP_MODE = 0o644
 #: (login, sudo, polkit) re-read the legacy databases on every lookup;
 #: the bytes rarely change, but the entries they parse into are mutable
 #: records that callers edit in place before writing back — so the memo
-#: stores a private parsed tuple and every caller gets fresh clones.
+#: stores a private parsed tuple that is never handed out: the
+#: ``*_entries`` readers return clones of every entry, and a lookup
+#: scans the tuple and clones only the entry it returns.
 #: Content-keyed, so it is safe to share across kernels in one process
 #: (fleet shards): identical bytes parse identically everywhere.
 _PARSE_MEMO: dict = {}
@@ -103,16 +105,18 @@ class UserDatabase:
     def _root(self) -> Task:
         return self.kernel.init
 
-    def _read_entries(self, path: str, parser):
-        """Read+parse a legacy database. A missing file is an empty
-        database; any other failure propagates — returning ``[]`` for
-        a transient read error would let a caller mistake \"could not
-        read\" for \"no accounts\" and rewrite the file accordingly."""
+    def _parsed(self, path: str, parser) -> tuple:
+        """Read+parse a legacy database into the memo's shared tuple,
+        which callers must not mutate or hand out. A missing file is an
+        empty database; any other failure propagates — returning ``()``
+        for a transient read error would let a caller mistake \"could
+        not read\" for \"no accounts\" and rewrite the file
+        accordingly."""
         try:
             data = self.kernel.read_file(self._root(), path)
         except SyscallError as exc:
             if exc.errno_value is Errno.ENOENT:
-                return []
+                return ()
             raise
         key = (parser, data)
         cached = _PARSE_MEMO.get(key)
@@ -121,16 +125,16 @@ class UserDatabase:
                 _PARSE_MEMO.clear()
             cached = tuple(parser(data.decode()))
             _PARSE_MEMO[key] = cached
-        return [entry.clone() for entry in cached]
+        return cached
 
     def passwd_entries(self) -> List[PasswdEntry]:
-        return self._read_entries(PASSWD_FILE, parse_passwd)
+        return [entry.clone() for entry in self._parsed(PASSWD_FILE, parse_passwd)]
 
     def shadow_entries(self) -> List[ShadowEntry]:
-        return self._read_entries(SHADOW_FILE, parse_shadow)
+        return [entry.clone() for entry in self._parsed(SHADOW_FILE, parse_shadow)]
 
     def group_entries(self) -> List[GroupEntry]:
-        return self._read_entries(GROUP_FILE, parse_group)
+        return [entry.clone() for entry in self._parsed(GROUP_FILE, parse_group)]
 
     def _replace(self, writer: Task, path: str, payload: bytes, mode: int) -> None:
         """Crash-safe whole-file replacement: write a sibling temp
@@ -167,27 +171,27 @@ class UserDatabase:
     # Resolution
     # ------------------------------------------------------------------
     def lookup_user(self, name: str) -> Optional[PasswdEntry]:
-        for entry in self.passwd_entries():
+        for entry in self._parsed(PASSWD_FILE, parse_passwd):
             if entry.name == name:
-                return entry
+                return entry.clone()
         return None
 
     def lookup_uid(self, uid: int) -> Optional[PasswdEntry]:
-        for entry in self.passwd_entries():
+        for entry in self._parsed(PASSWD_FILE, parse_passwd):
             if entry.uid == uid:
-                return entry
+                return entry.clone()
         return None
 
     def lookup_group(self, name: str) -> Optional[GroupEntry]:
-        for entry in self.group_entries():
+        for entry in self._parsed(GROUP_FILE, parse_group):
             if entry.name == name:
-                return entry
+                return entry.clone()
         return None
 
     def lookup_gid(self, gid: int) -> Optional[GroupEntry]:
-        for entry in self.group_entries():
+        for entry in self._parsed(GROUP_FILE, parse_group):
             if entry.gid == gid:
-                return entry
+                return entry.clone()
         return None
 
     def resolve_user(self, name: str) -> Optional[int]:
@@ -201,7 +205,7 @@ class UserDatabase:
     def group_names_for(self, username: str) -> List[str]:
         names = []
         user = self.lookup_user(username)
-        for group in self.group_entries():
+        for group in self._parsed(GROUP_FILE, parse_group):
             if username in group.members or (user and group.gid == user.gid):
                 names.append(group.name)
         return names
@@ -211,15 +215,15 @@ class UserDatabase:
         user = self.lookup_user(username)
         if user:
             gids.append(user.gid)
-        for group in self.group_entries():
+        for group in self._parsed(GROUP_FILE, parse_group):
             if username in group.members and group.gid not in gids:
                 gids.append(group.gid)
         return gids
 
     def shadow_for(self, name: str) -> Optional[ShadowEntry]:
-        for entry in self.shadow_entries():
+        for entry in self._parsed(SHADOW_FILE, parse_shadow):
             if entry.name == name:
-                return entry
+                return entry.clone()
         return None
 
     # ------------------------------------------------------------------

@@ -34,8 +34,6 @@ TENANT = "t00"
 #: file state stays byte-identical; legacy newgrp ignores it.
 GROUPJOIN_DROPIN = "ALL ALL=(ALL) GROUPJOIN: vault\n"
 
-_SENTINEL = object()
-
 
 @dataclasses.dataclass
 class SystemConfig:
@@ -52,7 +50,6 @@ class SystemConfig:
     sudoers: Optional[str] = None
     bind_conf: Optional[str] = None
     ppp_options: Optional[str] = None
-    start_daemon: bool = True
     group_passwords: Dict[str, str] = dataclasses.field(default_factory=dict)
     kernel_version: Optional[Tuple[int, int]] = None
     #: (binary, ((pattern, mode), ...), capabilities) AppArmor
@@ -60,8 +57,8 @@ class SystemConfig:
     profiles: Tuple[Tuple, ...] = ()
     #: UDP ports netfilter drops on OUTPUT.
     drop_ports: Tuple[int, ...] = ()
-    #: (name, payload) files written under /etc/sudoers.d in both
-    #: modes (Protego explications; legacy sudo reads the dir too).
+    #: (name, payload) files laid under /etc/sudoers.d in both modes
+    #: (Protego explications; legacy sudo reads the dir too).
     sudoers_dropins: Tuple[Tuple[str, str], ...] = ()
     #: Blank the polkit/dbus configs (scenario hygiene: those gaps
     #: have their own differential studies).
@@ -70,7 +67,9 @@ class SystemConfig:
     fleet_tenants: Tuple[str, ...] = ()
 
     def system_kwargs(self) -> Dict:
-        kwargs: Dict = {"start_daemon": self.start_daemon}
+        """The :class:`System` arguments: everything the boot image
+        lays, so the daemon's start-up sync reads the final config."""
+        kwargs: Dict = {"sudoers_dropins": self.sudoers_dropins}
         if self.users is not None:
             kwargs["users"] = self.users
         for field in ("fstab", "sudoers", "bind_conf", "ppp_options"):
@@ -79,6 +78,8 @@ class SystemConfig:
                 kwargs[field] = value
         if self.group_passwords:
             kwargs["group_passwords"] = dict(self.group_passwords)
+        if self.blank_polkit_dbus:
+            kwargs["polkit_rules"] = kwargs["dbus_services"] = ""
         return kwargs
 
 
@@ -117,32 +118,26 @@ def _coerce(config) -> SystemConfig:
 
 
 def build_system(config=None, mode: SystemMode = SystemMode.PROTEGO,
-                 hostname: str = "", start_daemon: Optional[bool] = _SENTINEL) -> System:
+                 hostname: str = "") -> System:
     """Build one fully provisioned machine from *config* in *mode*.
 
     *config* may be a :class:`SystemConfig`, a ScenarioSpec, or
-    ``None`` for the canonical defaults. *hostname*/*start_daemon*
-    override the recipe when given (per-mode hostnames keep twin
-    builds tellable-apart in audit output).
+    ``None`` for the canonical defaults. *hostname* overrides the
+    recipe's when given (per-mode hostnames keep twin builds
+    tellable-apart in audit output).
+
+    The recipe's config files (polkit/dbus configs, sudoers drop-ins)
+    are in the boot image, so on Protego the daemon's start-up sync
+    has already committed the final policies; what follows is runtime
+    policy (profiles, netfilter rules) and the tenant directories,
+    none of which the daemon watches.
     """
     config = _coerce(config)
-    kwargs = config.system_kwargs()
-    if start_daemon is not _SENTINEL:
-        kwargs["start_daemon"] = start_daemon
     host = hostname or (f"{mode.value}-{config.hostname}"
                         if config.hostname else "")
-    system = System(mode, hostname=host, **kwargs)
+    system = System(mode, hostname=host, **config.system_kwargs())
     if config.kernel_version is not None:
         system.kernel.version = KernelVersion(*config.kernel_version)
-    init = system.kernel.init
-
-    if config.blank_polkit_dbus:
-        system.kernel.write_file(init, "/etc/polkit-1/rules", b"")
-        system.kernel.write_file(init, "/etc/dbus-1/system-services", b"")
-
-    for name, payload in config.sudoers_dropins:
-        system.kernel.write_file(init, f"/etc/sudoers.d/{name}",
-                                 payload.encode())
 
     for profile_spec in config.profiles:
         binary, path_rules = profile_spec[0], profile_spec[1]
@@ -157,11 +152,6 @@ def build_system(config=None, mode: SystemMode = SystemMode.PROTEGO,
 
     if config.fleet_tenants:
         make_tenant_dirs(system, config.fleet_tenants)
-
-    if mode is SystemMode.PROTEGO:
-        # One daemon pass so the configured policies (sudoers drop-ins
-        # included) are loaded before the first probe.
-        system.sync()
     return system
 
 
@@ -174,11 +164,10 @@ def make_tenant_dirs(system: System, tenants: Iterable[str]) -> None:
             system.kernel.sys_mkdir(root, path, 0o1777)
 
 
-def build_pair(config=None, start_daemon: Optional[bool] = _SENTINEL
-               ) -> Tuple[System, System]:
+def build_pair(config=None) -> Tuple[System, System]:
     """The differential shape: (legacy, protego) twins of one recipe."""
-    return (build_system(config, SystemMode.LINUX, start_daemon=start_daemon),
-            build_system(config, SystemMode.PROTEGO, start_daemon=start_daemon))
+    return (build_system(config, SystemMode.LINUX),
+            build_system(config, SystemMode.PROTEGO))
 
 
 __all__ = ["SystemConfig", "build_system", "build_pair",

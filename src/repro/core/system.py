@@ -253,6 +253,9 @@ class System:
         ppp_options: str = DEFAULT_PPP_OPTIONS,
         start_daemon: bool = True,
         group_passwords: Optional[Dict[str, str]] = None,
+        polkit_rules: str = DEFAULT_POLKIT_RULES,
+        dbus_services: str = DEFAULT_DBUS_SERVICES,
+        sudoers_dropins: Tuple[Tuple[str, str], ...] = (),
     ):
         self.mode = mode
         self.kernel = Kernel(hostname or f"{mode.value}-box")
@@ -273,7 +276,8 @@ class System:
         register_policy_proc_files(self.kernel)
 
         self._provision_accounts(group_passwords or {})
-        self._provision_config(fstab, sudoers, bind_conf, ppp_options)
+        self._provision_config(fstab, sudoers, bind_conf, ppp_options,
+                               polkit_rules, dbus_services, sudoers_dropins)
         self._provision_devices()
         self._provision_network()
         self._install_programs()
@@ -340,21 +344,25 @@ class System:
                 self._lay_file(path, payload, mode, uid, gid)
 
     def _provision_config(self, fstab: str, sudoers: str, bind_conf: str,
-                          ppp_options: str) -> None:
+                          ppp_options: str, polkit_rules: str,
+                          dbus_services: str,
+                          sudoers_dropins: Tuple[Tuple[str, str], ...]) -> None:
         protego = self.mode is SystemMode.PROTEGO
         self._lay_file("/etc/fstab", fstab.encode())
         self._lay_file("/etc/sudoers", sudoers.encode(), 0o440)
         self._lay_dir("/etc/sudoers.d")
         if protego:
             self._lay_file("/etc/sudoers.d/protego-su", PROTEGO_SU_DROPIN.encode())
+        for name, payload in sudoers_dropins:
+            self._lay_file(f"/etc/sudoers.d/{name}", payload.encode())
         self._lay_file("/etc/bind", bind_conf.encode())
         self._lay_dir("/etc/ppp")
         self._lay_file("/etc/ppp/options", ppp_options.encode())
         self._lay_file("/etc/shells", DEFAULT_SHELLS.encode())
         self._lay_dir("/etc/polkit-1")
-        self._lay_file("/etc/polkit-1/rules", DEFAULT_POLKIT_RULES.encode())
+        self._lay_file("/etc/polkit-1/rules", polkit_rules.encode())
         self._lay_dir("/etc/dbus-1")
-        self._lay_file("/etc/dbus-1/system-services", DEFAULT_DBUS_SERVICES.encode())
+        self._lay_file("/etc/dbus-1/system-services", dbus_services.encode())
         self._lay_dir("/etc/cups")
         self._lay_file(LppasswdProgram.LEGACY_DB, b"", 0o600)
         if protego:

@@ -174,11 +174,11 @@ def build_shards(mode: SystemMode, count: int,
                  indices: Optional[Sequence[int]] = None) -> List[Shard]:
     """Provision *count* systems as fleet shards.
 
-    Construction leans on the provisioning memos in
-    :mod:`repro.core.system` and :mod:`repro.daemon.monitor` (password
-    hashes and serialized policy builds are computed once per process
-    and reused), so a 16-shard fleet boots in roughly the time two
-    cold systems used to take.
+    Construction leans on process-wide memos: password hashes
+    (:mod:`repro.core.system`) and parsed credential databases
+    (:mod:`repro.core.authdb`) are computed once per process and
+    reused. Each shard's daemon still reads, builds and commits its
+    own policies in its one start-up sync.
 
     *indices* restricts construction to a subset of the fleet's shard
     ids (a parallel worker builds only its slice); every shard is

@@ -28,7 +28,8 @@ the chain of directories traversed, so a hit revalidates search
 permission per directory from the permission cache — `(inode
 generation, X_OK)` under the caller's credentials — instead of
 re-walking. Negative entries memoize ENOENT (and only ENOENT: repeated
-stats, opens and daemon polls of absent names), and are cleared by the
+stats, opens and daemon polls of absent names) with the error context
+of the walk that found the name missing, and are cleared by the
 prefix invalidation any create performs. Creates themselves walk
 nothing when the parent's walk is cached: they read its dentry
 (``VFS.probe``), and mkdir caches the new directory's walk
@@ -88,16 +89,20 @@ class DcacheStats:
 
 
 class Dentry:
-    """One cached walk: the final inode (or a negative errno) plus the
-    directories traversed, for per-hit permission revalidation."""
+    """One cached walk: the final inode (or a negative errno and the
+    error context the walk raised it with) plus the directories
+    traversed, for per-hit permission revalidation."""
 
-    __slots__ = ("inode", "dirs", "errno")
+    __slots__ = ("inode", "dirs", "errno", "context")
 
     def __init__(self, inode: Optional[Inode], dirs: Tuple[Inode, ...],
-                 errno: Optional[Errno] = None):
+                 errno: Optional[Errno] = None, context: str = ""):
         self.inode = inode
         self.dirs = dirs
         self.errno = errno
+        #: A negative hit raises with this context, so an error reads
+        #: the same whether or not its walk was cached.
+        self.context = context
 
     @property
     def negative(self) -> bool:

@@ -16,7 +16,10 @@ Design constraints, in order:
    ``random.Random`` seeded from ``(global seed, site name)`` via the
    string-seeding path (stable across processes and Python versions,
    unlike ``hash()``). Same seed + same call sequence = same schedule
-   of injected failures.
+   of injected failures. The generator is built on the first decision
+   after construction, :meth:`FaultSite.configure` or
+   :meth:`FaultSite.reset`, so a kernel's never-armed sites cost no
+   seeding at boot.
 3. **Never a wrong answer.** Sites mark *degradation* points: a failed
    cache insertion falls back to uncached computation, a failed audit
    append is a counted drop, a failed policy write leaves last-good
@@ -109,7 +112,8 @@ class FaultSite:
         self.seed = seed
         self.calls = 0
         self.injected = 0
-        self._rng = random.Random(f"{seed}:{name}")
+        #: None until the first decision needs it (see :meth:`_random`).
+        self._rng: Optional[random.Random] = None
         #: One-slot injection counter shared by every site of one
         #: injector (see :meth:`FaultInjector.injected_total`); a
         #: standalone site counts alone. Never reset.
@@ -125,8 +129,8 @@ class FaultSite:
         only: Optional[Iterable[str]] = None,
         errnos: Optional[Iterable[Errno]] = None,
     ) -> "FaultSite":
-        """Arm the site. Reseeds the site RNG so the schedule from
-        here on is a pure function of the configuration."""
+        """Arm the site. Reseeds the site RNG (on its next use) so the
+        schedule from here on is a pure function of the configuration."""
         self.probability = probability
         self.times = times
         self.space = space
@@ -135,7 +139,7 @@ class FaultSite:
             self.errnos = tuple(errnos)
         if seed is not None:
             self.seed = seed
-        self._rng = random.Random(f"{self.seed}:{self.name}")
+        self._rng = None
         self.armed = True
         return self
 
@@ -152,16 +156,26 @@ class FaultSite:
         self.errnos = DEFAULT_SYSCALL_ERRNOS
         self.calls = 0
         self.injected = 0
-        self._rng = random.Random(f"{self.seed}:{self.name}")
+        self._rng = None
+
+    def _random(self) -> random.Random:
+        """The site RNG, seeded from ``(seed, name)`` on first use."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(f"{self.seed}:{self.name}")
+        return rng
 
     def snapshot(self) -> Tuple:
+        rng_state = self._rng.getstate() if self._rng is not None else None
         return (self.armed, self.probability, self.times, self.space,
-                self.only, self.errnos, self.seed, self._rng.getstate())
+                self.only, self.errnos, self.seed, rng_state)
 
     def restore(self, state: Tuple) -> None:
         (self.armed, self.probability, self.times, self.space,
          self.only, self.errnos, self.seed, rng_state) = state
-        self._rng.setstate(rng_state)
+        self._rng = None
+        if rng_state is not None:
+            self._random().setstate(rng_state)
 
     # ------------------------------------------------------------------
     # The decision (called only when ``armed`` is true)
@@ -175,7 +189,7 @@ class FaultSite:
             return False
         if self.times == 0:
             return False
-        if self.probability < 1.0 and self._rng.random() >= self.probability:
+        if self.probability < 1.0 and self._random().random() >= self.probability:
             return False
         if self.times > 0:
             self.times -= 1
@@ -188,7 +202,7 @@ class FaultSite:
     def pick_errno(self) -> Errno:
         if len(self.errnos) == 1:
             return self.errnos[0]
-        return self._rng.choice(self.errnos)
+        return self._random().choice(self.errnos)
 
     def fail(self, context: str = "") -> None:
         """Raise the injected failure as a syscall error."""

@@ -663,9 +663,10 @@ class SyscallMixin:
 
     def sys_rename(self, task: Task, old_path: str, new_path: str) -> None:
         """rename(2); both parents need write permission; an existing
-        regular-file destination is replaced, as Linux does. Both names
-        of one file leave everything as it is (POSIX), and a directory
-        cannot move beneath itself (EINVAL)."""
+        destination of the same kind is replaced, as Linux does: a file
+        cannot replace a directory (EISDIR), nor a directory a file
+        (ENOTDIR). Both names of one file leave everything as it is
+        (POSIX), and a directory cannot move beneath itself (EINVAL)."""
         self._enter(task, "rename")
         vfs = self.vfs
         old_path = self._resolve_at(task, old_path)
@@ -690,6 +691,8 @@ class SyscallMixin:
             self._check_sticky(task, new_parent, existing, new_path)
             if existing.is_dir() and not inode.is_dir():
                 raise SyscallError(Errno.EISDIR, new_path)
+            if inode.is_dir() and not existing.is_dir():
+                raise SyscallError(Errno.ENOTDIR, new_path)
             if existing.is_dir() and inode.is_dir() and existing.entries:
                 raise SyscallError(Errno.ENOTEMPTY, new_path)
             new_parent.unlink(new_leaf)

@@ -206,9 +206,10 @@ class VFS:
 
         A dcache hit revalidates permissions from the per-directory
         permission cache instead of re-walking; a negative hit raises
-        ENOENT after the same search-permission checks a real walk
-        would have performed. Cold walks (and every walk that crosses
-        a symlink) run the component loop once.
+        ENOENT, with the context the cold walk raised, after the same
+        search-permission checks a real walk would have performed. Cold
+        walks (and every walk that crosses a symlink) run the component
+        loop once.
         """
         norm = normalize(path)
         dcache = self.dcache
@@ -232,7 +233,7 @@ class VFS:
                         dcache.stats.perm_hits += 1
                 if entry.errno is not None:
                     dcache.stats.negative_hits += 1
-                    raise SyscallError(entry.errno, norm)
+                    raise SyscallError(entry.errno, entry.context)
                 dcache.stats.hits += 1
                 return entry.inode
             dcache.stats.misses += 1
@@ -246,7 +247,8 @@ class VFS:
             if (dcache.enabled and not state.crossed_symlink
                     and exc.errno_value is Errno.ENOENT):
                 dcache.put(norm, follow_final_symlink,
-                           Dentry(None, tuple(state.dirs), Errno.ENOENT))
+                           Dentry(None, tuple(state.dirs), Errno.ENOENT,
+                                  exc.context))
             raise
         if dcache.enabled and not state.crossed_symlink:
             dcache.put(norm, follow_final_symlink,

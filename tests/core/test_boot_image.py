@@ -11,9 +11,16 @@ live system is visible past every cache.
 produced, captured before the image replaced it. The one intended
 difference is ``/var/mail``: chown no longer strips S_ISGID from a
 directory, so it keeps the ``2775`` it is provisioned with.
+
+``boot_commit_golden.json`` is each config's ``/proc/protego/commit``
+as it read when ``build_system`` still wrote the recipe's polkit, dbus
+and sudoers drop-in files through the syscall layer after boot and
+polled the daemon again. Laying them in the image must commit the
+same policy in the start-up sync alone.
 """
 
 import hashlib
+import json
 import pathlib
 
 import pytest
@@ -28,6 +35,7 @@ from repro.userspace.misc import TrueProgram
 from repro.userspace.program import install_program
 
 GOLDEN = pathlib.Path(__file__).with_name("boot_tree_golden.txt")
+COMMIT_GOLDEN = pathlib.Path(__file__).with_name("boot_commit_golden.json")
 
 #: name -> (seed, scenario id) of a generated spec; None = the
 #: canonical defaults. (0, 0) has the vault group password and its
@@ -125,6 +133,14 @@ def test_booted_tree_matches_the_syscall_replay(name, mode):
         else:
             password = system.password_of(account)
         assert verify_password(password, salted), (path, account)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_booted_policy_matches_the_post_boot_overlay(name):
+    system, _config = _build(name, SystemMode.PROTEGO)
+    commit = system.kernel.read_file(system.root_session(),
+                                     "/proc/protego/commit").decode()
+    assert commit == json.loads(COMMIT_GOLDEN.read_text())[name]
 
 
 @pytest.mark.parametrize("mode,kwargs", [

@@ -1,6 +1,8 @@
 """The fault-injection subsystem: site semantics, the /proc control
 surface, and each consumer's fail-closed/fail-stale degradation."""
 
+import random
+
 import pytest
 
 from repro.core import System, SystemMode
@@ -83,6 +85,31 @@ class TestFaultSite:
         assert not site.armed
         assert (site.probability, site.times, site.space) == (1.0, -1, 0)
         assert (site.calls, site.injected) == (0, 0)
+
+    def test_schedule_is_the_string_seeded_stream(self):
+        # The RNG is built on first use; the stream it draws is the one
+        # a generator seeded from (seed, name) at construction drew.
+        site = FaultSite("t", seed=5)
+        site.configure(probability=0.5, errnos=(Errno.EINTR, Errno.ENOMEM))
+        reference = random.Random("5:t")
+        for _ in range(50):
+            fails = reference.random() < 0.5
+            assert site.should_fail() is fails
+            if fails:
+                assert site.pick_errno() is reference.choice(
+                    (Errno.EINTR, Errno.ENOMEM))
+
+    def test_snapshot_of_an_unused_site_replays_from_the_seed(self):
+        site = FaultSite("t", seed=5).configure(probability=0.5)
+        saved = site.snapshot()  # armed, not yet seeded
+        first = [site.should_fail() for _ in range(30)]
+        site.restore(saved)
+        assert [site.should_fail() for _ in range(30)] == first
+
+    def test_a_booted_kernel_seeds_no_site(self):
+        sites = System(SystemMode.PROTEGO).kernel.faults.sites()
+        assert set(CATALOG) <= {site.name for site in sites}
+        assert all(site._rng is None for site in sites)
 
 
 class TestFaultInjector:

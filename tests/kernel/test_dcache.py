@@ -102,6 +102,40 @@ class TestNegativeEntries:
         assert stats.walks == 1
         assert stats.negative_hits == 1
 
+    @pytest.mark.parametrize("path", ["/etc/nope", "/etc/nodir/leaf"])
+    def test_a_negative_hit_raises_the_cold_walks_context(self, vfs, path):
+        contexts = []
+        for enabled in (True, True, False):  # cold, warm, dcache off
+            vfs.dcache.enabled = enabled
+            with pytest.raises(SyscallError) as err:
+                vfs.lookup(path)
+            assert err.value.errno_value == Errno.ENOENT
+            contexts.append(err.value.context)
+        assert vfs.dcache.stats.negative_hits == 1
+        assert contexts == [path.split("/")[2]] * 3
+
+    @pytest.mark.parametrize("mode", [SystemMode.LINUX, SystemMode.PROTEGO])
+    def test_an_enoent_record_does_not_depend_on_the_caches(self, mode):
+        # The red-team battery records the denial context of a missing
+        # fragment directory on legacy; it must read the same whether
+        # the negative entry was cached, and with every cache off.
+        def contexts(system):
+            alice = system.session_for("alice")
+            seen = []
+            for call in (system.kernel.sys_stat, system.kernel.sys_open) * 2:
+                with pytest.raises(SyscallError) as err:
+                    call(alice, "/etc/nowhere/bob")
+                assert err.value.errno_value == Errno.ENOENT
+                seen.append(err.value.context)
+            return seen
+
+        cached = contexts(System(mode))
+        uncached = System(mode)
+        uncached.kernel.fastpath.enabled = False
+        uncached.kernel.vfs.dcache.enabled = False
+        assert cached == contexts(uncached)
+        assert cached[:2] == cached[2:]
+
     def test_create_clears_the_negative_entry(self, kernel, root):
         with pytest.raises(SyscallError):
             kernel.sys_stat(root, "/tmp/coming-soon")

@@ -8,7 +8,9 @@ both sides of rename, and refuses with EACCES as unlink always did.
 
 ``rename(p, q)`` where both names are the same file succeeds and
 changes nothing (POSIX), and a directory cannot move beneath itself
-(EINVAL), however the destination is spelled.
+(EINVAL), however the destination is spelled. A rename replaces an
+existing destination only with a node of the same kind: a file cannot
+replace a directory (EISDIR), nor a directory a file (ENOTDIR).
 """
 
 import pytest
@@ -126,3 +128,25 @@ def test_a_directory_may_move_beside_itself(mode):
     kernel.sys_rename(root, "/tmp/a", "/tmp/ab/a")
     assert kernel.vfs.resolve("/tmp/ab/a").is_dir()
     assert not kernel.vfs.exists("/tmp/a")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_directory_cannot_replace_a_file(mode):
+    kernel, root, _alice, _bob = _world(mode)
+    kernel.sys_mkdir(root, "/tmp/dir")
+    kernel.write_file(root, "/tmp/file", b"kept")
+    assert _errno(lambda: kernel.sys_rename(root, "/tmp/dir", "/tmp/file")) \
+        == Errno.ENOTDIR
+    assert kernel.vfs.resolve("/tmp/dir").is_dir()
+    assert kernel.read_file(root, "/tmp/file") == b"kept"
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_file_cannot_replace_a_directory(mode):
+    kernel, root, _alice, _bob = _world(mode)
+    kernel.sys_mkdir(root, "/tmp/dir")
+    kernel.write_file(root, "/tmp/file", b"kept")
+    assert _errno(lambda: kernel.sys_rename(root, "/tmp/file", "/tmp/dir")) \
+        == Errno.EISDIR
+    assert kernel.vfs.resolve("/tmp/dir").is_dir()
+    assert kernel.read_file(root, "/tmp/file") == b"kept"

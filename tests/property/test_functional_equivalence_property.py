@@ -21,19 +21,13 @@ USERS = ("alice", "bob", "charlie")
 def fresh_pair():
     """Both systems with sudoers-only delegation policy.
 
-    The provisioned PolicyKit rules are dropped for the sudo
+    The PolicyKit rules and D-Bus services boot blank for the sudo
     equivalence sweep: they authorize transitions in the kernel that
     legacy *sudo* (which reads only sudoers) never consults — legacy
     pkexec is their equivalent consumer, tested elsewhere.
     """
-    linux = System(SystemMode.LINUX)
-    protego = System(SystemMode.PROTEGO)
-    for system in (linux, protego):
-        system.kernel.write_file(system.kernel.init, "/etc/polkit-1/rules", b"")
-        system.kernel.write_file(system.kernel.init,
-                                 "/etc/dbus-1/system-services", b"")
-    protego.sync()
-    return linux, protego
+    return (System(SystemMode.LINUX, polkit_rules="", dbus_services=""),
+            System(SystemMode.PROTEGO, polkit_rules="", dbus_services=""))
 
 
 @given(user=st.sampled_from(USERS),

@@ -3,9 +3,19 @@
 
 ``REPRO_REDTEAM_SCENARIOS`` scales the sweep (minimum 10; CI smoke
 uses the default 50).
+
+At the default 50 scenarios the whole battery is pinned as a golden:
+the rendered report (``battery_report_golden.txt``) and the sha256 of
+its JSON with sorted keys, which holds across ``PYTHONHASHSEED``
+values. A change that alters any record (an outcome, a mechanism, a
+denial context) fails here; if the change is intended, regenerate both
+and say which records moved and why.
 """
 
+import hashlib
+import json
 import os
+import pathlib
 
 import pytest
 
@@ -19,6 +29,12 @@ from repro.redteam.techniques import MECHANISMS, TECHNIQUE_NAMES
 
 SEED = 0
 SCENARIOS = max(10, int(os.environ.get("REPRO_REDTEAM_SCENARIOS", "50")))
+
+#: The golden's scenario count, its rendered report and JSON digest.
+GOLDEN_SCENARIOS = 50
+GOLDEN_REPORT = pathlib.Path(__file__).with_name("battery_report_golden.txt")
+GOLDEN_SHA256 = \
+    "6bbf7a8a20c6abfb9d3a16b34c7658e42078c3c0b64214cd99a0e0ec7818e48d"
 
 
 @pytest.fixture(scope="module")
@@ -97,3 +113,14 @@ class TestSurfaceReport:
         assert "VIOLATIONS" not in text
         for name in TECHNIQUE_NAMES:
             assert name in text
+
+
+@pytest.mark.skipif(SCENARIOS != GOLDEN_SCENARIOS,
+                    reason="the golden pins the 50-scenario battery")
+class TestGolden:
+    def test_rendered_report_matches_the_golden(self, battery):
+        assert render_report(battery) == GOLDEN_REPORT.read_text()
+
+    def test_every_record_matches_the_golden(self, battery):
+        blob = json.dumps(battery, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == GOLDEN_SHA256
