@@ -24,7 +24,8 @@ from benchmarks.conftest import bench_scale
 from repro.core import System, SystemMode
 from repro.kernel import modes
 from repro.kernel.dcache import MAX_CREDS, MAX_ENTRIES, DentryCache
-from repro.kernel.security import Decision
+from repro.kernel.errno import SyscallError
+from repro.kernel.security import LAYER_DAC, LAYER_DEFAULT, Decision
 from repro.kernel.security.server import (
     _FASTPATH_UNCACHEABLE_ERRNOS,
     _UNCACHEABLE_ERRNOS,
@@ -76,12 +77,25 @@ def _check_unguarded(self, req):
         self.stats.misses += 1
     else:
         self.stats.uncacheable += 1
-    verdict, layer, errno, context, lsm_module, pending, value = \
-        self._decide(req)
-    cache_ok = key is not None and self.lsm.cache_ok(
-        req.hook, req.task, *_hook_args(req, value))
+    hook = req.hook
+    value = None
+    outcome = None
+    if req.dac is not None:
+        try:
+            value = req.dac()
+        except SyscallError as exc:
+            outcome = self._deny(hook, LAYER_DAC, exc.errno_value,
+                                 exc.context or req.context)
+    args = _hook_args(req, value)
+    if outcome is None:
+        outcome = self._compose(
+            hook, req.task, args, req.capability, req.fallback,
+            req.deny_errno, req.context,
+            LAYER_DAC if req.dac is not None else LAYER_DEFAULT)
+    verdict, layer, errno, context, lsm_module, pending = outcome
+    cache_ok = key is not None and self.lsm.cache_ok(hook, req.task, *args)
     decision = Decision(
-        verdict, layer, req.hook, req.obj, errno, context, lsm_module,
+        verdict, layer, hook, req.obj, errno, context, lsm_module,
         pending, value,
         cache_ok and errno not in _FASTPATH_UNCACHEABLE_ERRNOS)
     if cache_ok and errno not in _UNCACHEABLE_ERRNOS:

@@ -11,7 +11,11 @@ call, as :meth:`CapabilitySet.full` and ``empty`` do for their sets.
 A transition (``with_uids`` and friends) copies the snapshot's field
 dict into a new object instead of running the frozen ``__init__``,
 which assigns each of the twelve fields through
-``object.__setattr__``.
+``object.__setattr__``. A transition that changes no field returns
+the snapshot itself: a setuid or setgid to an id the task already
+holds, a capability drop with none held, a ``setgroups`` to the same
+set. The task then keeps its credentials object, and with it the
+subject id cached for that object.
 """
 
 from __future__ import annotations
@@ -89,13 +93,20 @@ class Credentials:
         return gid == self.egid or gid == self.fsgid or gid in self.groups
 
     def _replace(self, **changes) -> "Credentials":
-        """This snapshot with *changes* applied, as a new object. The
-        field dict is copied instead of re-running the frozen
-        ``__init__`` (what ``dataclasses.replace`` does); the pinned
-        hash belongs to the old value and is not copied."""
+        """This snapshot with *changes* applied: ``self`` when every
+        change equals the current value, else a new object. The field
+        dict is copied instead of re-running the frozen ``__init__``
+        (what ``dataclasses.replace`` does); the pinned hash belongs
+        to the old value and is not copied."""
+        current = self.__dict__
+        for name, value in changes.items():
+            if current[name] != value:
+                break
+        else:
+            return self
         new = object.__new__(Credentials)
         fields = new.__dict__
-        fields.update(self.__dict__)
+        fields.update(current)
         fields.pop("_hash", None)
         fields.update(changes)
         return new

@@ -18,12 +18,17 @@ Two refactor-era properties matter to callers:
 * decision hooks **short-circuit on the first DENY** and report the
   deciding module's name, so the security server can attribute every
   denial (``apparmor:file_open``, ``protego:socket_bind``).
+
+The setuid-family hooks answer with a :class:`SetuidDecision`. The
+chain reports their deciding module beside the decision, as it does
+for the decision hooks, and never writes into what a module returned,
+so the passthrough, allow and deny answers are shared constants.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, List, NamedTuple, Optional, Tuple, TYPE_CHECKING
 
 from repro.kernel.capabilities import Capability
 from repro.kernel.errno import Errno, SyscallError
@@ -50,37 +55,40 @@ class HookResult(enum.Enum):
     DENY = "deny"
 
 
-class SetuidDecision:
+class SetuidDecision(NamedTuple):
     """Decision for the setuid/setgid hooks.
 
     Protego may *defer* a uid transition until exec (the paper's
     setuid-on-exec, section 4.3); ``pending`` then carries the parked
-    transition for the task's security blob. ``module`` names the
-    security module that decided (``None`` for a passthrough).
+    transition for the task's security blob. A tuple record: the
+    passthrough, allow and deny decisions are shared constants, and
+    :meth:`LSMChain.call_setuid` reports the deciding module beside
+    the decision, never in it.
     """
 
-    def __init__(self, result: HookResult, pending: Any = None,
-                 needs_auth: bool = False, module: Optional[str] = None):
-        self.result = result
-        self.pending = pending
-        self.needs_auth = needs_auth
-        self.module = module
+    result: HookResult
+    pending: Any = None
+
+    @staticmethod
+    def passthrough() -> "SetuidDecision":
+        return _SETUID_PASS
+
+    @staticmethod
+    def allow() -> "SetuidDecision":
+        return _SETUID_ALLOW
+
+    @staticmethod
+    def deny() -> "SetuidDecision":
+        return _SETUID_DENY
 
     @classmethod
-    def passthrough(cls) -> "SetuidDecision":
-        return cls(HookResult.PASS)
+    def defer(cls, pending: Any) -> "SetuidDecision":
+        return cls(HookResult.ALLOW, pending)
 
-    @classmethod
-    def allow(cls) -> "SetuidDecision":
-        return cls(HookResult.ALLOW)
 
-    @classmethod
-    def deny(cls) -> "SetuidDecision":
-        return cls(HookResult.DENY)
-
-    @classmethod
-    def defer(cls, pending: Any, needs_auth: bool = False) -> "SetuidDecision":
-        return cls(HookResult.ALLOW, pending=pending, needs_auth=needs_auth)
+_SETUID_PASS = SetuidDecision(HookResult.PASS)
+_SETUID_ALLOW = SetuidDecision(HookResult.ALLOW)
+_SETUID_DENY = SetuidDecision(HookResult.DENY)
 
 
 #: Decision hooks: called through :meth:`LSMChain.call_detailed`.
@@ -250,17 +258,20 @@ class LSMChain:
     def call(self, hook: str, *args: Any) -> HookResult:
         return self.call_detailed(hook, *args)[0]
 
-    def call_setuid(self, hook: str, task: "Task", target: int) -> SetuidDecision:
-        decision = SetuidDecision.passthrough()
+    def call_setuid(self, hook: str, task: "Task",
+                    target: int) -> Tuple[SetuidDecision, Optional[str]]:
+        """Run a setuid-family *hook*; return (decision, deciding module
+        name), as :meth:`call_detailed` does. The first DENY wins;
+        otherwise the last ALLOW, whose ``pending`` transition (if
+        any) the caller parks."""
+        decision, decider = _SETUID_PASS, None
         for module in self.hook_modules(hook):
             this = getattr(module, hook)(task, target)
             if this.result is HookResult.DENY:
-                this.module = module.name
-                return this
+                return this, module.name
             if this.result is HookResult.ALLOW:
-                this.module = module.name
-                decision = this
-        return decision
+                decision, decider = this, module.name
+        return decision, decider
 
     def cache_ok(self, hook: str, task: "Task", *args: Any) -> bool:
         """May a decision for (*hook*, *args*) be cached? Any module

@@ -1,12 +1,17 @@
 """Structured access requests and decisions for the reference monitor.
 
-Every policy question the syscall layer asks is phrased as an
-:class:`AccessRequest` and answered with a :class:`Decision`. The
-request names the subject (the calling task), the object (a stable
-string identity: a path, ``port:25/tcp``, ``cap:CAP_SYS_ADMIN``, ...),
-the LSM hook to consult, and the default policy that applies when no
-security module has an opinion (a DAC thunk, a required capability, or
-an identity fallback such as setuid-to-own-uid).
+Every policy question the syscall layer asks is answered with a
+:class:`Decision`. A question the decision cache (the AVC) can hold is
+phrased as an :class:`AccessRequest`, the AVC's question, and asked
+through :meth:`SecurityServer.check`. The request names the subject
+(the calling task), the object (a stable string identity: a path,
+``port:25/tcp``, ``cap:CAP_SYS_ADMIN``, ...), the LSM hook to consult,
+and the default policy that applies when no security module has an
+opinion (a DAC thunk, a required capability, or an identity fallback).
+The questions the cache never holds (setuid, setgid, mount, umount,
+ioctl, exec validation, route add, create-time opens) build no
+request: :meth:`SecurityServer.decide` takes the same fields as
+arguments.
 
 The decision records the verdict *and which layer decided it* — DAC,
 a named LSM module (apparmor, protego), the capability system, or the
@@ -54,15 +59,14 @@ class Verdict(enum.Enum):
 
 @dataclasses.dataclass(frozen=True)
 class AccessRequest:
-    """One policy question.
+    """One cacheable policy question (a hook in ``CACHEABLE_HOOKS``).
 
     ``dac`` runs *before* the LSM chain (matching the VFS order: a
     DAC failure is final, modules cannot override it); its return
     value — typically the resolved inode — is kept on the decision and
     substituted for the :data:`OBJ` sentinel in ``args``. ``capability``
     and ``fallback`` form the default policy consulted only when every
-    module passes: capability first, then the identity fallback
-    (e.g. ``setuid`` to one's own ruid/suid).
+    module passes: capability first, then the identity fallback.
     """
 
     hook: str
@@ -75,7 +79,6 @@ class AccessRequest:
     fallback: Optional[Callable[[], bool]] = None
     deny_errno: Errno = Errno.EPERM
     context: str = ""
-    cacheable: bool = True
 
 
 class Decision(NamedTuple):

@@ -12,7 +12,8 @@ keys do. Invalidation is explicit:
 
 * a setuid/setgid/setgroups or exec commit gives the task another
   context and hence another SID, orphaning its old decisions by
-  keying;
+  keying (a transition that changes nothing keeps the credentials
+  object, and with it the SID);
 * **object entries** are dropped by path prefix on chmod, chown,
   unlink, rename, and mount-table changes: the cache subscribes to
   the generation hub's path fan-out, like the dentry cache and the
@@ -24,15 +25,24 @@ keys do. Invalidation is explicit:
 Every decision — hit or miss — is appended to the bounded audit ring
 surfaced at ``/proc/protego/audit``.
 
-Hooks that are never cached (setuid, setgid, mount, umount, ioctl,
-exec validation, create-time opens) and cache misses are computed on
-every call, so that path builds as little as it can. A
-:class:`~repro.kernel.security.access.Decision` is a tuple record,
-built once with its ``fastpath_ok`` flag already set. The capability
-check a default policy falls back on is a direct probe of the
-``("capable", "cap:NAME", sid, 0)`` cache key. A hit bumps the same
-lookup and hit counters and appends the same audit row that
-:meth:`SecurityServer.check` would have. Only a miss builds an
+Two entry points share one composition (LSM chain, then capability,
+then identity fallback):
+
+* :meth:`SecurityServer.check` answers the cacheable questions
+  (:data:`CACHEABLE_HOOKS`), phrased as an :class:`AccessRequest`: a
+  cache probe, else the DAC step and the composition, with the result
+  inserted unless a module vetoes. Any other hook raises.
+* :meth:`SecurityServer.decide` answers the questions the cache never
+  holds (setuid, setgid, mount, umount, ioctl, exec validation, route
+  add, create-time opens) straight from their arguments: no request
+  object, no key, one :class:`~repro.kernel.security.access.Decision`
+  and the same ``cached=0`` audit row ``check`` writes for a miss.
+
+A decision is a tuple record, built once with its ``fastpath_ok`` flag
+already set. The capability check a default policy falls back on is a
+direct probe of the ``("capable", "cap:NAME", sid, 0)`` cache key. A
+hit bumps the same lookup and hit counters and appends the same audit
+row that :meth:`SecurityServer.check` would have. Only a miss builds an
 :class:`AccessRequest` and goes through :meth:`check`.
 """
 
@@ -62,10 +72,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.task import Task
 
 #: Hooks whose decisions are pure functions of (credentials, object,
-#: loaded policy) and therefore safe to cache. Hooks with side effects
-#: or per-call state (setuid deferral, bprm pending transitions,
+#: loaded policy) and therefore safe to cache: the questions
+#: :meth:`SecurityServer.check` answers. Hooks with side effects or
+#: per-call state (setuid deferral, bprm pending transitions,
 #: mount-table bookkeeping, ioctl argument-dependent checks) are
-#: always recomputed.
+#: always recomputed, through :meth:`SecurityServer.decide`.
 CACHEABLE_HOOKS = frozenset(
     {"capable", "inode_permission", "file_open", "socket_bind", "socket_create"}
 )
@@ -88,9 +99,9 @@ _SETUID_HOOKS = frozenset({"task_fix_setuid", "task_fix_setgid"})
 #: instead of formatted on every probe.
 _CAP_OBJ = {cap: f"cap:{cap.name}" for cap in Capability}
 
-#: What :meth:`SecurityServer._decide` returns: a decision's
-#: ``(verdict, layer, errno, context, lsm_module, pending, value)``.
-_Outcome = Tuple[Verdict, str, Optional[Errno], str, Optional[str], Any, Any]
+#: What :meth:`SecurityServer._compose` returns: a decision's
+#: ``(verdict, layer, errno, context, lsm_module, pending)``.
+_Outcome = Tuple[Verdict, str, Optional[Errno], str, Optional[str], Any]
 
 #: Decision-cache capacity (FIFO) and audit-ring capacity.
 CACHE_SIZE = 2048
@@ -149,7 +160,10 @@ class SecurityServer:
     # The monitor
     # ------------------------------------------------------------------
     def check(self, req: AccessRequest) -> Decision:
-        """Answer *req*: cache lookup, else full composition."""
+        """Answer a cacheable question: cache lookup, else the DAC step
+        and the full composition. A hook outside
+        :data:`CACHEABLE_HOOKS` raises ``ValueError``: ask
+        :meth:`decide`."""
         key = self._key(req)
         if key is not None:
             self.stats.lookups += 1
@@ -161,31 +175,73 @@ class SecurityServer:
             self.stats.misses += 1
         else:
             self.stats.uncacheable += 1
-        verdict, layer, errno, context, lsm_module, pending, value = \
-            self._decide(req)
+        hook = req.hook
+        value = None
+        outcome = None
+        if req.dac is not None:
+            try:
+                value = req.dac()
+            except SyscallError as exc:
+                outcome = self._deny(hook, LAYER_DAC, exc.errno_value,
+                                     exc.context or req.context)
+        args = _hook_args(req, value)
+        if outcome is None:
+            outcome = self._compose(
+                hook, req.task, args, req.capability, req.fallback,
+                req.deny_errno, req.context,
+                LAYER_DAC if req.dac is not None else LAYER_DEFAULT)
+        verdict, layer, errno, context, lsm_module, pending = outcome
         # The module cacheability veto runs at insert time only: a
         # vetoed decision is never inserted, so no hit can ever serve
         # it, and hits stay a pure dict probe. It sees the hook's own
         # arguments. Modules whose veto set mutates at runtime must
         # invalidate on mutation (binary-ACL growth and profile loads
         # flush globally).
-        cache_ok = key is not None and self.lsm.cache_ok(
-            req.hook, req.task, *_hook_args(req, value))
+        cache_ok = key is not None and self.lsm.cache_ok(hook, req.task, *args)
         # The same veto governs the fused fast path: a decision no
         # module objects to memoizing may be fused upstream (the
         # syscall layer still requires a cached dentry). The flag is
         # part of the cached decision, so a hit replays it.
         decision = Decision(
-            verdict, layer, req.hook, req.obj, errno, context, lsm_module,
+            verdict, layer, hook, req.obj, errno, context, lsm_module,
             pending, value,
             cache_ok and errno not in _FASTPATH_UNCACHEABLE_ERRNOS)
         if cache_ok and errno not in _UNCACHEABLE_ERRNOS:
-            if self.fault_site.armed and self.fault_site.should_fail(req.hook):
+            if self.fault_site.armed and self.fault_site.should_fail(hook):
                 self.stats.alloc_failures += 1
             else:
                 self._cache.put(key, decision)
         self._record(req, decision, cached=False)
         return decision
+
+    def decide(self, hook: str, task: "Task", obj: str, args: tuple = (), *,
+               mask: int = 0, capability: Optional[Capability] = None,
+               fallback: Optional[Callable[[], bool]] = None,
+               deny_errno: Errno = Errno.EPERM, context: str = "",
+               layer: str = LAYER_DEFAULT) -> Decision:
+        """Answer a question the cache never holds, straight from its
+        arguments: the composition :meth:`check` runs on a miss, one
+        :class:`Decision` and the same ``cached=0`` audit row, counted
+        as ``uncacheable``.
+
+        *args* are the hook's own arguments; *capability* and
+        *fallback* are the default policy, as on an
+        :class:`AccessRequest`. *layer* is credited when every module
+        passes and no capability is named; a create-time open, whose
+        DAC check (the parent's write permission) has already passed,
+        names ``LAYER_DAC``."""
+        self.stats.uncacheable += 1
+        verdict, layer, errno, context, lsm_module, pending = self._compose(
+            hook, task, args, capability, fallback, deny_errno, context, layer)
+        # _record's row for this decision (keep in lockstep).
+        cred = task.cred
+        self.audit.record((
+            self._clock(), task.pid, cred.ruid, cred.euid,
+            hook, obj, mask, verdict.value, layer, False,
+            errno.name if errno is not None else "", context,
+        ))
+        return Decision(verdict, layer, hook, obj, errno, context,
+                        lsm_module, pending)
 
     def capable(self, task: "Task", cap: Capability, context: str = "") -> bool:
         """The kernel's single capability funnel, as a cached, audited
@@ -227,74 +283,58 @@ class SecurityServer:
         ).allowed
 
     # ------------------------------------------------------------------
-    # Composition: DAC -> LSM chain -> capability -> identity fallback
+    # Composition: LSM chain -> capability -> identity fallback
     # ------------------------------------------------------------------
-    def _decide(self, req: AccessRequest) -> _Outcome:
-        """Compose the layers for *req*. Returns the decision's fields
-        other than ``hook``, ``obj`` and ``fastpath_ok``, which
-        :meth:`check` adds when it builds the one :class:`Decision`;
-        ``value`` (what the DAC step resolved) survives an LSM denial."""
-        value = None
-        if req.dac is not None:
-            try:
-                value = req.dac()
-            except SyscallError as exc:
-                return self._deny(req, LAYER_DAC, errno=exc.errno_value,
-                                  detail=exc.context)
-
-        if req.hook in _SETUID_HOOKS:
-            setuid_decision = self.lsm.call_setuid(req.hook, req.task, req.args[0])
-            if setuid_decision.result is HookResult.DENY:
-                return self._deny(req, setuid_decision.module or "lsm",
-                                  lsm_module=setuid_decision.module)
-            if setuid_decision.result is HookResult.ALLOW:
-                return self._allow(req, setuid_decision.module or "lsm",
-                                   lsm_module=setuid_decision.module,
-                                   pending=setuid_decision.pending, value=value)
+    def _compose(self, hook: str, task: "Task", args: tuple,
+                 capability: Optional[Capability],
+                 fallback: Optional[Callable[[], bool]], deny_errno: Errno,
+                 context: str, layer: str) -> _Outcome:
+        """Compose the layers after DAC for one question. Returns the
+        decision's fields other than ``hook``, ``obj``, ``value`` and
+        ``fastpath_ok``, which the caller adds when it builds the one
+        :class:`Decision`. *layer* is credited when nobody decides."""
+        pending = None
+        if hook in _SETUID_HOOKS:
+            setuid_decision, module = self.lsm.call_setuid(hook, task, args[0])
+            result = setuid_decision.result
+            pending = setuid_decision.pending
         else:
-            result, module = self.lsm.call_detailed(
-                req.hook, req.task, *_hook_args(req, value))
-            if result is HookResult.DENY:
-                return self._deny(req, module or "lsm", lsm_module=module,
-                                  value=value)
-            if result is HookResult.ALLOW:
-                return self._allow(req, module or "lsm", lsm_module=module,
-                                   value=value)
+            result, module = self.lsm.call_detailed(hook, task, *args)
+        if result is HookResult.DENY:
+            return self._deny(hook, module or "lsm", deny_errno, context,
+                              module)
+        if result is HookResult.ALLOW:
+            return (Verdict.ALLOW, module or "lsm", None, "", module, pending)
 
         # Default policy: capability, then the identity fallback.
-        if req.capability is not None:
-            if req.hook == "capable":
-                held = req.task.cred.has_cap(req.capability)
+        if capability is not None:
+            if hook == "capable":
+                held = task.cred.has_cap(capability)
             else:
-                held = self.capable(req.task, req.capability, context=req.context)
+                held = self.capable(task, capability, context=context)
             if held:
-                return self._allow(req, LAYER_CAPABILITY, value=value)
-            if req.fallback is not None and req.fallback():
-                return self._allow(req, LAYER_DAC, value=value)
-            return self._deny(req, LAYER_CAPABILITY, errno=Errno.EPERM)
-        return self._allow(req, LAYER_DAC if req.dac is not None else LAYER_DEFAULT,
-                           value=value)
+                return (Verdict.ALLOW, LAYER_CAPABILITY, None, "", None, None)
+            if fallback is not None and fallback():
+                return (Verdict.ALLOW, LAYER_DAC, None, "", None, None)
+            return self._deny(hook, LAYER_CAPABILITY, Errno.EPERM, context)
+        return (Verdict.ALLOW, layer, None, "", None, None)
 
-    def _allow(self, req: AccessRequest, layer: str, lsm_module: Optional[str] = None,
-               pending: Any = None, value: Any = None) -> _Outcome:
-        return (Verdict.ALLOW, layer, None, "", lsm_module, pending, value)
-
-    def _deny(self, req: AccessRequest, layer: str, errno: Optional[Errno] = None,
-              lsm_module: Optional[str] = None, detail: str = "",
-              value: Any = None) -> _Outcome:
-        context = f"{layer}:{req.hook}"
-        extra = detail or req.context
-        if extra:
-            context = f"{context}: {extra}"
-        return (Verdict.DENY, layer, errno or req.deny_errno, context,
-                lsm_module, None, value)
+    @staticmethod
+    def _deny(hook: str, layer: str, errno: Errno, detail: str,
+              lsm_module: Optional[str] = None) -> _Outcome:
+        context = f"{layer}:{hook}"
+        if detail:
+            context = f"{context}: {detail}"
+        return (Verdict.DENY, layer, errno, context, lsm_module, None)
 
     # ------------------------------------------------------------------
     # Cache keying and invalidation
     # ------------------------------------------------------------------
     def _key(self, req: AccessRequest) -> Optional[Tuple]:
-        if not (self.cache_enabled and req.cacheable
-                and req.hook in CACHEABLE_HOOKS):
+        if req.hook not in CACHEABLE_HOOKS:
+            raise ValueError(f"{req.hook} decisions are never cached: "
+                             "ask SecurityServer.decide")
+        if not self.cache_enabled:
             return None
         task = req.task
         if task.sid_cred is task.cred and task.sid_exe is task.exe_path:

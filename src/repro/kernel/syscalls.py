@@ -2,11 +2,11 @@
 
 Each method takes the calling :class:`~repro.kernel.task.Task` first,
 mirroring the implicit ``current`` of a real kernel. Every policy
-question is phrased as an
-:class:`~repro.kernel.security.AccessRequest` and answered by the
-kernel's reference monitor
-(:class:`~repro.kernel.security.SecurityServer`), which composes the
-layers in the paper's order:
+question goes to the kernel's reference monitor
+(:class:`~repro.kernel.security.SecurityServer`): one its decision
+cache can hold as an :class:`~repro.kernel.security.AccessRequest`
+through ``check``, any other straight from its arguments through
+``decide``. Both compose the layers in the paper's order:
 
 1. DAC runs first and its denial is final;
 2. LSM hooks may DENY outright or ALLOW an operation the default
@@ -19,11 +19,13 @@ layer is responsible for telling the generation hub when objects
 change (chmod, unlink, mount). Credential commits (setuid, exec) tell
 nobody: they give the task a new credentials object or executable,
 and every cache probe re-interns the task's subject id when either
-is no longer the one its id was minted for.
+is no longer the one its id was minted for. A setuid or setgid to an
+id the task already holds keeps its credentials object, so nothing
+re-interns.
 
 The eight system calls the paper changes — socket, bind, mount,
 umount, setuid, setgid, ioctl, and the exec-side enforcement of
-setuid-on-exec — are all here, each phrased as one request.
+setuid-on-exec — are all here, each asking one question.
 """
 
 from __future__ import annotations
@@ -54,9 +56,17 @@ from repro.kernel.net.socket import (
     SocketType,
     PRIVILEGED_PORT_MAX,
 )
-from repro.kernel.security import OBJ, AccessRequest, LAYER_CAPABILITY
+from repro.kernel.security import (
+    OBJ,
+    AccessRequest,
+    LAYER_CAPABILITY,
+    LAYER_DAC,
+)
 from repro.kernel.task import Task
 from repro.kernel.vfs import NORM_MEMO, Filesystem, normalize
+
+#: (uid_t)-1, Linux's INVALID_UID and INVALID_GID: ids run 0 to 2**32 - 2.
+_INVALID_ID = 2**32 - 1
 
 #: open(2) access mode -> the DAC mask it must satisfy.
 _ACCMODE_MASK = {modes.O_RDONLY: modes.R_OK, modes.O_WRONLY: modes.W_OK,
@@ -353,7 +363,6 @@ class SyscallMixin:
             fastpath.stats.misses += 1
         accmode = flags & modes.O_ACCMODE
         mask = _ACCMODE_MASK[accmode]
-        created: Optional[Inode] = None
         if flags & _O_CREAT:
             vfs = self.vfs
             probe = vfs.probe(path)
@@ -394,10 +403,16 @@ class SyscallMixin:
                 parent.entries[leaf] = created
                 # The name now resolves: drop any stale decisions about it.
                 self.generations.invalidate_path(target)
+                # A create is never cached. Its DAC check, write on
+                # the parent, has passed; the modules still see it.
+                decision = self.security_server.decide(
+                    "file_open", task, path, (path, created, flags),
+                    mask=mask, deny_errno=Errno.EACCES, layer=LAYER_DAC)
+                if not decision.allowed:
+                    raise decision.denial()
+                return self._install_open_file(task, created, flags, path)
 
         def dac() -> Inode:
-            if created is not None:
-                return created
             inode = self.vfs.lookup(path, task.cred, mask)
             if inode.is_dir() and accmode != modes.O_RDONLY:
                 raise SyscallError(Errno.EISDIR, path)
@@ -407,7 +422,6 @@ class SyscallMixin:
             hook="file_open", task=task, obj=path, mask=mask,
             args=(path, OBJ, flags), dac=dac,
             deny_errno=Errno.EACCES,
-            cacheable=created is None,
         ))
         self._fuse(fp_key, decision, mask, path)
         if not decision.allowed:
@@ -831,13 +845,10 @@ class SyscallMixin:
             mountns.attach(mountpoint, fs)
             self.log_audit("mount.ns", task, f"{source} -> {mountpoint}")
             return
-        decision = self.security_server.check(AccessRequest(
-            hook="sb_mount", task=task, obj=mountpoint,
-            args=(source, mountpoint, fstype, flags, options),
-            capability=Capability.CAP_SYS_ADMIN,
-            context=f"mount {source}",
-            cacheable=False,
-        ))
+        decision = self.security_server.decide(
+            "sb_mount", task, mountpoint,
+            (source, mountpoint, fstype, flags, options),
+            capability=Capability.CAP_SYS_ADMIN, context=f"mount {source}")
         if not decision.allowed:
             self.log_audit("mount.denied", task, f"{source} -> {mountpoint}")
             raise decision.denial()
@@ -855,11 +866,9 @@ class SyscallMixin:
             mountns.detach(mountpoint)
             self.log_audit("umount.ns", task, mountpoint)
             return
-        decision = self.security_server.check(AccessRequest(
-            hook="sb_umount", task=task, obj=mountpoint, args=(mountpoint,),
-            capability=Capability.CAP_SYS_ADMIN,
-            cacheable=False,
-        ))
+        decision = self.security_server.decide(
+            "sb_umount", task, mountpoint, (mountpoint,),
+            capability=Capability.CAP_SYS_ADMIN)
         if not decision.allowed:
             raise decision.denial()
         self.vfs.detach(mountpoint)
@@ -890,12 +899,12 @@ class SyscallMixin:
     def sys_setuid(self, task: Task, uid: int) -> None:
         """setuid(2) with Protego's deferred-transition extension."""
         self._enter(task, "setuid")
-        decision = self.security_server.check(AccessRequest(
-            hook="task_fix_setuid", task=task, obj=f"uid:{uid}", args=(uid,),
+        if not 0 <= uid < _INVALID_ID:
+            raise SyscallError(Errno.EINVAL, f"invalid uid {uid}")
+        decision = self.security_server.decide(
+            "task_fix_setuid", task, f"uid:{uid}", (uid,),
             capability=Capability.CAP_SETUID,
-            fallback=lambda: uid in (task.cred.ruid, task.cred.suid),
-            cacheable=False,
-        ))
+            fallback=lambda: uid in (task.cred.ruid, task.cred.suid))
         if not decision.allowed:
             if decision.from_lsm:
                 self.log_audit("setuid.denied", task, f"-> {uid}")
@@ -931,19 +940,15 @@ class SyscallMixin:
 
     def sys_setgid(self, task: Task, gid: int) -> None:
         self._enter(task, "setgid")
-        decision = self.security_server.check(AccessRequest(
-            hook="task_fix_setgid", task=task, obj=f"gid:{gid}", args=(gid,),
+        if not 0 <= gid < _INVALID_ID:
+            raise SyscallError(Errno.EINVAL, f"invalid gid {gid}")
+        decision = self.security_server.decide(
+            "task_fix_setgid", task, f"gid:{gid}", (gid,),
             capability=Capability.CAP_SETGID,
-            fallback=lambda: gid in (task.cred.rgid, task.cred.sgid),
-            cacheable=False,
-        ))
+            fallback=lambda: gid in (task.cred.rgid, task.cred.sgid))
         if not decision.allowed:
             raise decision.denial()
         if decision.from_lsm:
-            if decision.pending is not None:
-                task.setsec("protego", "pending_setgid", decision.pending)
-                self.log_audit("setgid.deferred", task, f"-> {gid}")
-                return
             task.cred = task.cred.with_gids(rgid=gid, egid=gid, sgid=gid)
             self.log_audit("setgid", task, f"-> {gid}")
             return
@@ -955,6 +960,10 @@ class SyscallMixin:
     def sys_setgroups(self, task: Task, groups: List[int]) -> None:
         self._enter(task, "setgroups")
         self.require_capable(task, Capability.CAP_SETGID, "setgroups")
+        groups = frozenset(groups)
+        for gid in groups:
+            if not 0 <= gid < _INVALID_ID:
+                raise SyscallError(Errno.EINVAL, f"invalid gid {gid}")
         task.cred = task.cred.with_groups(groups)
 
     # ==================================================================
@@ -1005,12 +1014,9 @@ class SyscallMixin:
             # attack the redteam battery drives.
             path = self.vfs.realpath(path)
 
-        decision = self.security_server.check(AccessRequest(
-            hook="bprm_check", task=task, obj=path,
-            args=(path, inode, argv),
-            deny_errno=Errno.EACCES,
-            cacheable=False,
-        ))
+        decision = self.security_server.decide(
+            "bprm_check", task, path, (path, inode, argv),
+            deny_errno=Errno.EACCES)
         if not decision.allowed:
             self.log_audit("exec.denied", task, path)
             raise decision.denial()
@@ -1249,12 +1255,9 @@ class SyscallMixin:
     # ==================================================================
     def sys_ioctl(self, task: Task, device: Device, cmd: str, arg: object = None) -> object:
         self._enter(task, "ioctl")
-        decision = self.security_server.check(AccessRequest(
-            hook="dev_ioctl", task=task, obj=f"dev:{device.name}",
-            args=(device, cmd, arg),
-            context=cmd,
-            cacheable=False,
-        ))
+        decision = self.security_server.decide(
+            "dev_ioctl", task, f"dev:{device.name}", (device, cmd, arg),
+            context=cmd)
         if not decision.allowed:
             self.log_audit("ioctl.denied", task, f"{device.name} {cmd}")
             raise decision.denial()
@@ -1322,13 +1325,9 @@ class SyscallMixin:
                       gateway: str = "") -> None:
         self._enter(task, "route_add")
         route = Route(destination, device, gateway, added_by_uid=task.cred.ruid)
-        decision = self.security_server.check(AccessRequest(
-            hook="route_add", task=task, obj=f"route:{destination}",
-            args=(destination, device),
-            capability=Capability.CAP_NET_ADMIN,
-            context=f"dev {device}",
-            cacheable=False,
-        ))
+        decision = self.security_server.decide(
+            "route_add", task, f"route:{destination}", (destination, device),
+            capability=Capability.CAP_NET_ADMIN, context=f"dev {device}")
         if not decision.allowed:
             if decision.from_lsm:
                 self.log_audit("route.denied", task, destination)
