@@ -31,7 +31,8 @@ Protego is about the *unprivileged* user's least privilege.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import posixpath
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.config.sudoers import ALL
 from repro.core.authdb import SHADOW_FRAGMENT_DIR
@@ -114,11 +115,17 @@ class ProtegoLSM(SecurityModule):
         #: path -> (mount generation, inode, steps): the last walk of
         #: each protected path (binary-ACL paths, /etc/shadows).
         self._peeks: Dict[str, Tuple[int, Optional[Inode], Tuple]] = {}
+        #: The protected paths and each of their ancestors: a change at
+        #: one of these names can make a protected path name another
+        #: object (see :meth:`_path_changed`).
+        self._guarded: FrozenSet[str] = frozenset()
+        self._guard_paths()
 
     def attach(self, kernel) -> "ProtegoLSM":
         """Register with *kernel* and wire the packet filter."""
         self.kernel = kernel
         kernel.register_module(self)
+        kernel.generations.subscribe_paths(self._path_changed)
         self.rawsock_policy.install(kernel.net.netfilter)
         return self
 
@@ -146,7 +153,29 @@ class ProtegoLSM(SecurityModule):
         sensitive may sit under any of its names, and the cacheability
         veto only guards inserts made after this."""
         self.binary_acl[path] = tuple(allowed_exes)
+        self._guard_paths()
         self.flush_decisions()
+
+    def _guard_paths(self) -> None:
+        """Recompute :attr:`_guarded` from the binary ACL."""
+        guarded = set()
+        for path in (*self.binary_acl, SHADOW_FRAGMENT_DIR):
+            path = posixpath.normpath(path)
+            while path not in guarded:
+                guarded.add(path)
+                path = posixpath.dirname(path)
+        self._guarded = frozenset(guarded)
+
+    def _path_changed(self, path: str) -> None:
+        """The hub's path fan-out. A mount, umount or rename at a
+        protected path or above it can make that path name another
+        object, or none. A decision cached for an alias was vetted
+        against the old object, and no prefix invalidation reaches the
+        alias's name, so every cached decision is flushed (and, through
+        the policy bump, every fused verdict). One set probe per
+        invalidation."""
+        if path in self._guarded:
+            self.flush_decisions()
 
     # ------------------------------------------------------------------
     # helpers

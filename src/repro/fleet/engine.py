@@ -183,19 +183,22 @@ def run_shard_group(shard: Shard, sessions: Sequence[_Session],
     live = list(sessions)
     session_ledger = LatencyLedger()
     op_ledgers: Dict[str, LatencyLedger] = {}
-    op_counts: Dict[str, int] = {}
     digest = 0 if config.record_schedule else None
     cursor = 0
-    start = clock.now()
+    # Bound once: the loop below runs once per scheduled op.
+    now, advance, wall = clock.now, clock.advance, clock.wall
+    kernel_before = 0
+    start = now()
 
     while live:
         if cursor >= len(live):
             cursor = 0
         session = live[cursor]
         if session.started is None:
-            session.started = clock.now()
-        kernel_before = kernel.now()
-        wall_before = clock.now()
+            session.started = now()
+        if not wall:
+            kernel_before = kernel.clock
+        wall_before = now()
         finished = failed = False
         op = None
         err_name = None
@@ -217,7 +220,7 @@ def run_shard_group(shard: Shard, sessions: Sequence[_Session],
             except PermissionError:
                 finished = failed = True
                 err_name = "EPERM"
-        now = clock.advance()
+        after = advance()
         if chaos and faults.injected_total() > injected_before:
             # Degradation scoreboard: a fault fired during this
             # step — either the op absorbed it (degraded but
@@ -229,12 +232,11 @@ def run_shard_group(shard: Shard, sessions: Sequence[_Session],
         if op is not None:
             shard.ops += 1
             tally.steps += 1
-            op_counts[op] = op_counts.get(op, 0) + 1
             # Per-op latency: wall nanoseconds under a harness
             # clock, simulated kernel ticks under the tick clock —
             # both deterministic in what they claim to measure.
-            cost = (now - wall_before) if clock.wall \
-                else (kernel.now() - kernel_before)
+            cost = (after - wall_before) if wall \
+                else (kernel.clock - kernel_before)
             ledger = op_ledgers.get(op)
             if ledger is None:
                 ledger = op_ledgers[op] = LatencyLedger()
@@ -255,7 +257,7 @@ def run_shard_group(shard: Shard, sessions: Sequence[_Session],
                 shard.completed += 1
                 tally.completed += 1
             tally.live -= 1
-            session_ledger.record(now - session.started)
+            session_ledger.record(after - session.started)
             live[cursor] = live[-1]
             live.pop()
         else:
@@ -265,7 +267,7 @@ def run_shard_group(shard: Shard, sessions: Sequence[_Session],
 
     if shard.needs_sync:
         shard.sync()
-    elapsed = clock.now() - start
+    elapsed = now() - start
     report = shard.report()
     report.schedule_crc = digest
     p50, p95, p99 = session_ledger.percentiles()
@@ -275,18 +277,21 @@ def run_shard_group(shard: Shard, sessions: Sequence[_Session],
         shards=1,
         seed=config.seed,
         fastpath=config.fastpath,
-        clock="wall" if clock.wall else "tick",
+        clock="wall" if wall else "tick",
         completed=report.completed,
         failed=report.failed,
         ops=report.ops,
         elapsed=float(elapsed),
-        sessions_per_sec=throughput(report.completed, elapsed, clock.wall),
+        sessions_per_sec=throughput(report.completed, elapsed, wall),
         session_p50=p50, session_p95=p95, session_p99=p99,
         session_mean=session_ledger.mean,
         session_max=session_ledger.max,
         op_latency={kind: ledger.percentiles()
                     for kind, ledger in op_ledgers.items()},
-        op_counts=op_counts,
+        # Each op's ledger was made at its first step, so this is the
+        # first-seen order a per-step tally would have kept.
+        op_counts={kind: ledger.count
+                   for kind, ledger in op_ledgers.items()},
         shard_reports=[report],
         schedule_digest=digest,
         session_ledger=session_ledger,

@@ -53,13 +53,16 @@ def throughput(completed: int, elapsed: float, wall: bool) -> float:
     return completed / (elapsed / (1e9 if wall else 1e6))
 
 
+def _nearest_rank(ordered: List[float], fraction: float) -> float:
+    """Nearest-rank percentile of the non-empty, sorted *ordered*."""
+    return ordered[max(0, min(len(ordered) - 1, int(fraction * len(ordered))))]
+
+
 def percentile(values: List[float], fraction: float) -> float:
     """Nearest-rank percentile of *values* (not assumed sorted)."""
     if not values:
         return 0.0
-    ordered = sorted(values)
-    rank = max(0, min(len(ordered) - 1, int(fraction * len(ordered))))
-    return ordered[rank]
+    return _nearest_rank(sorted(values), fraction)
 
 
 class LatencyLedger:
@@ -100,9 +103,13 @@ class LatencyLedger:
         return self.total / self.count if self.count else 0.0
 
     def percentiles(self) -> Tuple[float, float, float]:
-        return (percentile(self._samples, 0.50),
-                percentile(self._samples, 0.95),
-                percentile(self._samples, 0.99))
+        """p50, p95 and p99 of the reservoir, from one sort."""
+        if not self._samples:
+            return (0.0, 0.0, 0.0)
+        ordered = sorted(self._samples)
+        return (_nearest_rank(ordered, 0.50),
+                _nearest_rank(ordered, 0.95),
+                _nearest_rank(ordered, 0.99))
 
     # -- merging -------------------------------------------------------
     def merge(self, other: "LatencyLedger") -> "LatencyLedger":
@@ -158,9 +165,9 @@ class ShardReport:
     decision_hit_rate: float = 0.0
     flow_hit_rate: float = 0.0
     fastpath_stale_evictions: int = 0
-    #: Cache entries dropped by path invalidations (and dcache mount
-    #: clears), summed over the fused table, the dcache path map and
-    #: the decision cache.
+    #: Cache entries dropped by path invalidations (namespace and
+    #: attribute mutations and mount-table changes alike), summed over
+    #: the fused table, the dcache path map and the decision cache.
     invalidations: int = 0
     #: Audit-ring pressure over the run: rows appended, rows rotated
     #: out of the full ring, rows refused by injected alloc failures,

@@ -6,15 +6,17 @@ syscall re-walked each component, and most walked *twice* — once to
 resolve and once to check search permission. This module memoizes the
 walk the way Linux's dcache does. The path map is a
 :class:`~repro.kernel.pathindex.PathCache` keyed ``(follow, path)``
-(bounded, FIFO), with three invalidation routes:
+(bounded, FIFO), with two invalidation routes:
 
-* **mount** — any mount-table change (mount/umount/pivot) empties the
-  path map, since a mount can change what any path resolves to.
 * **path prefix** — `invalidate_prefix(path)` on namespace mutations
-  (create/unlink/rename/rmdir/symlink/link) and attribute changes
-  (chmod/chown) drops the path's entries and every descendant's. The
-  cache subscribes it to the generation hub's path fan-out, so the
-  syscall layer keeps a single invalidation call site per mutation.
+  (create/unlink/rename/rmdir/symlink/link), attribute changes
+  (chmod/chown) and mount-table changes (mount/umount, announced as
+  the mountpoint by the VFS) drops the path's entries and every
+  descendant's. The cache subscribes it to the generation hub's path
+  fan-out, so each mutation has a single invalidation call site. A
+  mount needs no more: every mount grafts a fresh filesystem root, and
+  a cached walk crossed no symlink, so a mount at *M* changes only the
+  walks of *M* and the names beneath it.
 * **inode generation** — permission entries are keyed on each
   inode's generation, which chmod and chown bump, so an attribute
   change orphans them without touching the credential-independent
@@ -80,7 +82,8 @@ class DcacheStats:
     walks: int = 0
     perm_hits: int = 0
     perm_misses: int = 0
-    #: Path-map entries dropped by prefix invalidations and mount clears.
+    #: Path-map entries dropped by prefix invalidations (mutations and
+    #: mount-table changes alike).
     invalidations: int = 0
     flushes: int = 0
     #: Insertions refused by an injected allocation failure — the walk
@@ -129,9 +132,8 @@ class DentryCache:
 
     def __init__(self, generations: Optional[GenerationHub] = None):
         self.enabled = True
-        #: The shared generation authority: mount bumps go through it
-        #: (so the fused fast path empties too), and its path fan-out
-        #: delivers prefix invalidations.
+        #: The shared generation authority: its path fan-out delivers
+        #: prefix invalidations, mount-table changes included.
         self.generations = generations if generations is not None \
             else GenerationHub()
         self._entries = PathCache(MAX_ENTRIES)
@@ -195,19 +197,11 @@ class DentryCache:
     # ------------------------------------------------------------------
     # Invalidation
     # ------------------------------------------------------------------
-    def bump_mount_epoch(self) -> int:
-        """The mount table changed: every cached walk is suspect, so
-        the path map empties. The bump goes through the hub, whose
-        flush fan-out empties the fused fast path too."""
-        self.stats.invalidations += len(self._entries)
-        self._entries.clear()
-        return self.generations.bump_mount()
-
     def invalidate_prefix(self, path: str) -> None:
         """Drop *path*'s entries and every descendant's (a rename of a
         directory moves its whole subtree; a chmod changes every walk
-        through it). Negative entries die here too — this is what a
-        create calls."""
+        through it; a mount covers it). Negative entries die here too —
+        this is what a create calls."""
         self.stats.invalidations += self._entries.invalidate_prefix(path)
 
     def flush(self) -> None:

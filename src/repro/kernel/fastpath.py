@@ -29,11 +29,15 @@ Key: ``(op|mask, path, sid)``.
   binary ACLs make the verdict depend on *which program* is asking,
   not just whose uid.
 
-Staleness never reaches the probe. Any mount-table change or policy
-reload empties the table through the hub's flush fan-out (the dropped
-entries count as ``stale_evictions``); attribute changes and namespace
-mutations arrive as **prefix invalidations** through the hub's path
-fan-out, exactly like the dcache's and the decision cache's.
+Staleness never reaches the probe. A policy reload empties the table
+through the hub's flush fan-out (the dropped entries count as
+``stale_evictions``); attribute changes, namespace mutations and
+mount-table changes arrive as **prefix invalidations** through the
+hub's path fan-out, exactly like the dcache's and the decision cache's
+(the dropped entries count as ``invalidations``). A mount at *M* drops
+only the verdicts for *M* and the names beneath it: a verdict is fused
+only behind a cached walk, which crossed no symlink, so no other name
+can resolve differently after it.
 
 What may be fused is decided by the *insert* side (the syscall layer):
 only verdicts whose walk left a dentry behind (the dcache's own
@@ -146,8 +150,8 @@ class FastPathTable:
         self.stats.invalidations += self.table.invalidate_prefix(path)
 
     def _drop_stale(self) -> None:
-        """A mount or policy bump (the hub's flush fan-out lands here):
-        every verdict may have changed."""
+        """A policy bump (the hub's flush fan-out lands here): every
+        verdict may have changed."""
         self.stats.stale_evictions += len(self.table)
         self.table.clear()
 

@@ -10,19 +10,21 @@ the one place a subject id is minted.
 
 Two routes, one per kind of change:
 
-* **Flush.** A mount-table change or a policy reload can change the
-  answer for any path, so :meth:`GenerationHub.bump_mount` and
-  :meth:`GenerationHub.bump_policy` call every flush subscriber (the
-  fused verdict table), which empties itself — just as the dentry
-  cache empties its path map on a mount and the decision cache
-  empties itself on a reload. After boot a fleet day bumps the mount
-  generation a handful of times and the policy generation not at all,
-  so clearing eagerly is cheap, and it leaves a fused hit nothing to
-  compare.
-* **Path prefix.** Attribute changes and namespace mutations name the
-  path they touched: :meth:`GenerationHub.invalidate_path` hands it to
-  every path subscriber (the dentry cache, the decision cache and the
-  fused table), so each mutation has a single invalidation call site.
+* **Flush.** A policy reload can change the answer for any path, so
+  :meth:`GenerationHub.bump_policy` calls every flush subscriber (the
+  fused verdict table), which empties itself, just as the decision
+  cache empties itself on a reload. After boot a fleet day bumps the
+  policy generation not at all, so clearing eagerly is cheap, and it
+  leaves a fused hit nothing to compare.
+* **Path prefix.** Attribute changes, namespace mutations and
+  mount-table changes name the path they touched:
+  :meth:`GenerationHub.invalidate_path` hands it to every path
+  subscriber (the dentry cache, the decision cache, the fused table
+  and Protego's object-check guard), so each mutation has a single
+  invalidation call site. A mount or umount at *M* is announced as
+  *M*: it changes what a name resolves to only if the name is *M* or
+  lies beneath it. :meth:`GenerationHub.bump_mount` only counts the
+  change; it empties nothing.
 
 Credential commits invalidate nothing. Every key that depends on who
 asks carries a **subject id** (SID) that :meth:`GenerationHub.subject`
@@ -49,7 +51,7 @@ class GenerationHub:
     """Named generation domains plus the two invalidation fan-outs.
 
     * :attr:`mount` — the mount-table generation; bumped by exactly 1
-      per mount/umount.
+      per mount/umount. Protego's object-check memo compares it.
     * :attr:`policy` — the policy generation; bumped on every security
       server flush (profile (un)load, /proc policy write, module
       registration).
@@ -74,10 +76,10 @@ class GenerationHub:
     # Domain bumps
     # ------------------------------------------------------------------
     def bump_mount(self) -> int:
-        """The mount table changed: every fused verdict is suspect."""
+        """The mount table changed. Only counted: the VFS announces the
+        mountpoint through :meth:`invalidate_path`, which covers every
+        cached answer the change can alter."""
         self.mount += 1
-        for listener in self._flush_listeners:
-            listener()
         return self.mount
 
     def bump_policy(self) -> int:
@@ -115,7 +117,7 @@ class GenerationHub:
         return sid
 
     def subscribe_flush(self, listener: Callable[[], object]) -> None:
-        """Register a cache that empties on every mount or policy bump."""
+        """Register a cache that empties on every policy bump."""
         self._flush_listeners.append(listener)
 
     # ------------------------------------------------------------------
@@ -126,7 +128,7 @@ class GenerationHub:
         self._path_listeners.append(listener)
 
     def invalidate_path(self, path: str) -> None:
-        """A namespace or attribute mutation under *path*: tell every
-        subscribed cache to drop the prefix."""
+        """A namespace, attribute or mount-table change at *path*: tell
+        every subscribed cache to drop the prefix."""
         for listener in self._path_listeners:
             listener(path)

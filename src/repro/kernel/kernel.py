@@ -70,9 +70,10 @@ class Kernel(SyscallMixin):
         # guarded by a single `site.armed` load when disarmed.
         self.faults = FaultInjector()
         # One generation authority for every access-relevant cache:
-        # mount and policy bumps empty the fused fast path, path
-        # mutations fan out to every path-keyed cache, and subject ids
-        # are interned here, one per (credentials, executable) context.
+        # policy bumps empty the fused fast path, path mutations and
+        # mount-table changes (as their mountpoint) fan out to every
+        # path-keyed cache, and subject ids are interned here, one per
+        # (credentials, executable) context.
         self.generations = GenerationHub()
         self.vfs = VFS(generations=self.generations)
         self.devices = DeviceRegistry()
@@ -90,9 +91,9 @@ class Kernel(SyscallMixin):
         # attribute hops per audit replay collapse to one load.
         self._audit_fused = self.security_server.audit.record_fused
         # The fused fast path: final open/stat/access verdicts keyed on
-        # (op|mask, path, sid), emptied by mount and policy bumps;
-        # prefix invalidations arrive via the hub's path fan-out. The
-        # layered walk below stays the oracle.
+        # (op|mask, path, sid), emptied by policy bumps; prefix
+        # invalidations, a mount's included, arrive via the hub's path
+        # fan-out. The layered walk below stays the oracle.
         self.fastpath = FastPathTable(
             self.generations, fault_site=self.faults.site(SITE_FASTPATH_INSERT))
         # SFIP-style syscall-entry gating: per-task permitted-syscall

@@ -15,9 +15,9 @@ keys do. Invalidation is explicit:
   keying (a transition that changes nothing keeps the credentials
   object, and with it the SID);
 * **object entries** are dropped by path prefix on chmod, chown,
-  unlink, rename, and mount-table changes: the cache subscribes to
-  the generation hub's path fan-out, like the dentry cache and the
-  fused table;
+  unlink, rename, and mount-table changes, which the VFS announces as
+  their mountpoint: the cache subscribes to the generation hub's path
+  fan-out, like the dentry cache and the fused table;
 * the cache is **flushed globally** when a security module's policy
   reloads — an AppArmor profile (un)load, a /proc/protego policy
   write, or a monitoring-daemon fstab/sudoers/bind sync.

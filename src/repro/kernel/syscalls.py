@@ -31,7 +31,7 @@ setuid-on-exec — are all here, each asking one question.
 from __future__ import annotations
 
 import posixpath
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.kernel import modes
 from repro.kernel.capabilities import Capability
@@ -67,6 +67,9 @@ from repro.kernel.vfs import NORM_MEMO, Filesystem, normalize
 
 #: (uid_t)-1, Linux's INVALID_UID and INVALID_GID: ids run 0 to 2**32 - 2.
 _INVALID_ID = 2**32 - 1
+
+#: The most supplementary groups setgroups(2) takes (Linux NGROUPS_MAX).
+NGROUPS_MAX = 65536
 
 #: open(2) access mode -> the DAC mask it must satisfy.
 _ACCMODE_MASK = {modes.O_RDONLY: modes.R_OK, modes.O_WRONLY: modes.W_OK,
@@ -854,8 +857,6 @@ class SyscallMixin:
             raise decision.denial()
         fs = self._filesystem_for(source, fstype, flags)
         self.vfs.attach(mountpoint, fs, flags, mounter_uid=task.cred.ruid)
-        # The mount changes what every path beneath it resolves to.
-        self.generations.invalidate_path(mountpoint)
         self.log_audit("mount", task, f"{source} -> {mountpoint} ({fs.fstype})")
 
     def sys_umount(self, task: Task, mountpoint: str) -> None:
@@ -872,7 +873,6 @@ class SyscallMixin:
         if not decision.allowed:
             raise decision.denial()
         self.vfs.detach(mountpoint)
-        self.generations.invalidate_path(mountpoint)
         self.log_audit("umount", task, mountpoint)
 
     def _filesystem_for(self, source: str, fstype: str, flags: int) -> Filesystem:
@@ -957,9 +957,14 @@ class SyscallMixin:
             return
         task.cred = task.cred.with_gids(egid=gid)
 
-    def sys_setgroups(self, task: Task, groups: List[int]) -> None:
+    def sys_setgroups(self, task: Task, groups: Sequence[int]) -> None:
         self._enter(task, "setgroups")
         self.require_capable(task, Capability.CAP_SETGID, "setgroups")
+        # Linux counts the list as passed, duplicates included, before
+        # it reads a single gid.
+        if len(groups) > NGROUPS_MAX:
+            raise SyscallError(Errno.EINVAL,
+                               f"{len(groups)} groups > NGROUPS_MAX")
         groups = frozenset(groups)
         for gid in groups:
             if not 0 <= gid < _INVALID_ID:

@@ -10,10 +10,18 @@ All resolution funnels through :meth:`VFS.lookup`, which performs the
 component walk *and* the per-directory search-permission checks in a
 single pass and memoizes the result in a Linux-style dentry cache
 (:mod:`repro.kernel.dcache`): positive and negative path entries
-emptied by mount-table changes, permission results keyed on the
-caller's credentials and each directory's generation. The historical
-entry points (``resolve``, ``path_permission``, ``exists``) remain as
-thin wrappers.
+dropped by path prefix, permission results keyed on the caller's
+credentials and each directory's generation. The historical entry
+points (``resolve``, ``path_permission``, ``exists``) remain as thin
+wrappers.
+
+A mount-table change is announced like any other namespace mutation:
+:meth:`VFS.attach` and :meth:`VFS.detach` bump the hub's mount
+generation and invalidate the mountpoint's prefix, and nothing is
+emptied wholesale. That is exact because every mount grafts a fresh
+filesystem root (there are no bind mounts) and no cached walk crossed
+a symlink, so a mount at *M* changes what a name resolves to only if
+the name is *M* or lies beneath it.
 """
 
 from __future__ import annotations
@@ -145,7 +153,7 @@ class VFS:
         self.mounts[mountpoint] = Mount(mountpoint, fs, flags, mounter_uid)
         fs.notify_change = (
             lambda mp=mountpoint: self.generations.invalidate_path(mp))
-        self._note_mount_change()
+        self._note_mount_change(mountpoint)
 
     def detach(self, mountpoint: str) -> Mount:
         mountpoint = normalize(mountpoint)
@@ -154,14 +162,15 @@ class VFS:
         except KeyError:
             raise SyscallError(Errno.EINVAL, f"not mounted: {mountpoint}") from None
         mount.fs.notify_change = None
-        self._note_mount_change()
+        self._note_mount_change(mountpoint)
         return mount
 
-    def _note_mount_change(self) -> None:
-        """The mount table changed: bump the mount generation (which
-        empties the cached walks and the fused verdicts) and rebuild
-        the covering trie."""
-        self.dcache.bump_mount_epoch()
+    def _note_mount_change(self, mountpoint: str) -> None:
+        """The mount table changed at *mountpoint*: bump the mount
+        generation, rebuild the covering trie and drop every cached
+        answer about the mountpoint or a name beneath it, the only
+        names the change can alter."""
+        self.generations.bump_mount()
         trie: Dict = {}
         for mp, mount in self.mounts.items():
             node = trie
@@ -169,6 +178,7 @@ class VFS:
                 node = node.setdefault(component, {})
             node[""] = mount
         self._mount_trie = trie
+        self.generations.invalidate_path(mountpoint)
 
     def mount_at(self, mountpoint: str) -> Optional[Mount]:
         return self.mounts.get(normalize(mountpoint))

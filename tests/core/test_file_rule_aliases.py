@@ -4,9 +4,13 @@ The binary ACL on the ssh host key and the reauthentication rule on
 the ``/etc/shadows`` fragments are decided on the opened inode. A
 symlink or a hard link that an unprivileged user makes to a protected
 file therefore reaches the same rule as the file's configured name, and
-no decision about such an alias is cached or fused. On stock Linux the
-same aliases are refused by DAC.
+no decision about such an alias is cached or fused. A decision cached
+for an alias while the protected path named nothing does not outlive
+the mount, umount or rename that makes it name the file again. On stock
+Linux the same aliases are refused by DAC.
 """
+
+import posixpath
 
 import pytest
 
@@ -126,3 +130,75 @@ def test_protecting_a_file_drops_decisions_cached_under_its_aliases():
     with pytest.raises(SyscallError) as err:
         kernel.read_file(alice, ALIAS)
     assert err.value.errno_value == Errno.EACCES
+
+
+def _outcome(kernel, task, path):
+    try:
+        return ("ok", kernel.read_file(task, path))
+    except SyscallError as exc:
+        return ("err", exc.errno_value, exc.context)
+
+
+def _uncached_outcome(kernel, task, path):
+    """The same read with the fused table, the decision cache and the
+    dentry cache off: the layered walk, the oracle."""
+    fastpath, dcache, server = (kernel.fastpath, kernel.vfs.dcache,
+                                kernel.security_server)
+    fastpath.enabled = dcache.enabled = server.cache_enabled = False
+    try:
+        return _outcome(kernel, task, path)
+    finally:
+        fastpath.enabled = dcache.enabled = server.cache_enabled = True
+
+
+@pytest.mark.parametrize("change", ["mount", "rename"])
+@pytest.mark.parametrize("target", [HOST_KEY, ALICE_SHADOW])
+def test_no_cached_alias_verdict_outlives_a_change_of_the_protected_path(
+        change, target):
+    system = System(SystemMode.PROTEGO)
+    kernel = system.kernel
+    root = system.root_session()
+    alice = system.session_for("alice")
+    directory = posixpath.dirname(target)
+    kernel.sys_link(alice, target, ALIAS)
+    denied = ("err", Errno.EACCES, "protego:file_open")
+    assert _outcome(kernel, alice, ALIAS) == denied
+    if change == "mount":
+        kernel.sys_mount(root, "tmpfs", directory, "tmpfs")
+    else:
+        kernel.sys_rename(root, directory, directory + ".old")
+    # The protected path names nothing now, and the file's DAC mode
+    # admits alice: her opens succeed, warm or not.
+    for _ in range(3):
+        outcome = _outcome(kernel, alice, ALIAS)
+        assert outcome[0] == "ok"
+        assert outcome == _uncached_outcome(kernel, alice, ALIAS)
+    if change == "mount":
+        kernel.sys_umount(root, directory)
+    else:
+        kernel.sys_rename(root, directory + ".old", directory)
+    # The path names the object again: no decision cached while it did
+    # not may answer for the alias.
+    for _ in range(2):
+        assert _outcome(kernel, alice, ALIAS) == denied
+        assert _uncached_outcome(kernel, alice, ALIAS) == denied
+
+
+def test_a_runtime_protected_path_is_guarded_too():
+    system = System(SystemMode.PROTEGO)
+    kernel = system.kernel
+    root = system.root_session()
+    alice = system.session_for("alice")
+    kernel.sys_mkdir(root, "/opt")
+    kernel.write_file(root, "/opt/appkey", b"APPKEY")
+    kernel.sys_chmod(root, "/opt/appkey", 0o644)
+    system.protego.protect_binary("/opt/appkey", ("/usr/bin/app",))
+    kernel.sys_link(alice, "/opt/appkey", ALIAS)
+    denied = ("err", Errno.EACCES, "protego:file_open")
+    assert _outcome(kernel, alice, ALIAS) == denied
+    kernel.sys_rename(root, "/opt", "/opt.old")
+    for _ in range(3):
+        assert _outcome(kernel, alice, ALIAS) == ("ok", b"APPKEY")
+    kernel.sys_rename(root, "/opt.old", "/opt")
+    assert _outcome(kernel, alice, ALIAS) == denied
+    assert _uncached_outcome(kernel, alice, ALIAS) == denied

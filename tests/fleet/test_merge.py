@@ -14,6 +14,7 @@ from repro.fleet.stats import (
     FleetStats,
     LatencyLedger,
     combine_schedule_digests,
+    percentile,
 )
 
 
@@ -91,6 +92,30 @@ class TestLatencyLedgerMerge:
         merged = LatencyLedger.merged([LatencyLedger(), other])
         assert merged.count == 2
         assert merged._samples == [4.0, 2.0]
+
+
+class TestLatencyLedgerPercentiles:
+    @staticmethod
+    def one_sort_each(ledger):
+        """The three single-percentile calls ``percentiles()`` replaces."""
+        return tuple(percentile(ledger._samples, fraction)
+                     for fraction in (0.50, 0.95, 0.99))
+
+    def test_empty_and_single_sample_reservoirs(self):
+        empty = LatencyLedger()
+        assert empty.percentiles() == self.one_sort_each(empty) \
+            == (0.0, 0.0, 0.0)
+        single = ledger_of([7.0])
+        assert single.percentiles() == self.one_sort_each(single) \
+            == (7.0, 7.0, 7.0)
+
+    def test_seeded_reservoirs_match_the_single_percentiles(self):
+        for seed in range(20):
+            rng = random.Random(seed)
+            count = rng.randrange(1, 400)
+            ledger = ledger_of([rng.randrange(10 ** 6) for _ in range(count)],
+                               cap=rng.choice((16, 64, 8192)))
+            assert ledger.percentiles() == self.one_sort_each(ledger)
 
 
 class TestCombineScheduleDigests:

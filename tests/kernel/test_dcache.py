@@ -1,5 +1,6 @@
 """Dentry-cache tests: single-walk lookups, negative entries, and the
-three invalidation routes (mount epoch, path prefix, inode generation).
+invalidation routes (path prefix, a mount's at its mountpoint included,
+and inode generation).
 
 The structural bar for the refactor is walk count: a cold path-taking
 syscall performs exactly one component walk; a warm one performs zero.
@@ -239,6 +240,40 @@ class TestMutationInvalidation:
             kernel.sys_stat(root, "/mnt/disk/file")  # negative, cached
         kernel.sys_umount(root, "/mnt/disk")
         assert kernel.read_file(root, "/mnt/disk/file") == b"under"
+
+    @pytest.mark.parametrize("mode", list(SystemMode))
+    def test_mount_keeps_names_outside_its_mountpoint_warm(self, mode):
+        # A booted machine, every cache on: a mount announces only its
+        # mountpoint, so warm names elsewhere (a sibling sharing the
+        # string prefix "/mnt" included) come back as fused hits
+        # without a walk.
+        system = System(mode)
+        kernel = system.kernel
+        root = system.root_session()
+        kernel.sys_mkdir(root, "/mntx")
+        kernel.write_file(root, "/mntx/file", b"x")
+        stats = ("/etc", "/etc/fstab", "/tmp", "/mntx", "/mntx/file",
+                 "/etc/absent")
+        opens = ("/etc/fstab", "/etc/passwd", "/mntx/file")
+
+        def touch():
+            for name in stats:
+                try:
+                    kernel.sys_stat(root, name)
+                except SyscallError as exc:
+                    assert exc.errno_value == Errno.ENOENT
+            for name in opens:
+                kernel.sys_close(root, kernel.sys_open(root, name))
+
+        touch()
+        touch()
+        kernel.sys_mount(root, "none", "/mnt", "tmpfs")
+        before = kernel.metrics.snapshot()
+        touch()
+        delta = kernel.metrics.delta(before)
+        assert delta["kernel.dcache.walks"] == 0
+        assert delta["kernel.fastpath.misses"] == 0
+        assert delta["kernel.fastpath.hits"] == len(stats) + len(opens)
 
     def test_mount_change_bumps_the_epoch(self, kernel, root):
         # The mount generation is the hub's; the registry reads it.

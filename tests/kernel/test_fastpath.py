@@ -5,12 +5,13 @@ layered caches:
 
 * warm stat/open/access served whole from the fused table — the
   dcache and decision cache are never consulted on a hit;
-* one flush rule: mount changes and policy reloads empty the table
-  through the hub's flush fan-out, credential commits orphan by
-  keying (a new subject id) without evicting other subjects;
-* attribute and namespace mutations arrive as prefix invalidations
-  through the hub's path fan-out (chmod, create-over-negative), and
-  every cache counts the entries they drop;
+* one flush rule: policy reloads empty the table through the hub's
+  flush fan-out, credential commits orphan by keying (a new subject
+  id) without evicting other subjects;
+* attribute, namespace and mount-table mutations arrive as prefix
+  invalidations through the hub's path fan-out (chmod,
+  create-over-negative, a mount at its mountpoint), and every cache
+  counts the entries they drop;
 * O_CREAT opens bypass the table entirely;
 * fused denials replay the layered errno, context, and audit row;
 * both new fault sites fail closed (a fault slows, never widens);
@@ -32,6 +33,7 @@ from repro.kernel.fault import SITE_ENTRY_MASK, SITE_FASTPATH_INSERT
 from repro.kernel.generations import GenerationHub
 from repro.kernel.lsm import HookResult, SecurityModule
 from repro.kernel.task import Task
+from repro.kernel.vfs import Filesystem
 
 
 @pytest.fixture
@@ -113,28 +115,50 @@ class TestFusedHits:
 
 
 # ======================================================================
-# Staleness: mount and policy bumps flush, paths invalidate by prefix
+# Staleness: policy bumps flush, paths (and mountpoints) by prefix
 # ======================================================================
+def _fused_under(fastpath, mountpoint):
+    """How many fused verdicts name *mountpoint* or a path beneath it."""
+    return sum(1 for key in fastpath.table
+               if key[1] == mountpoint or key[1].startswith(mountpoint + "/"))
+
+
 class TestGenerationStaleness:
-    def test_mount_orphans_every_fused_entry(self, kernel, root):
+    def test_mount_drops_only_the_entries_under_its_mountpoint(
+            self, kernel, root):
         path = _deep_file(kernel, root)
-        kernel.sys_stat(root, path)
-        kernel.sys_stat(root, path)  # fused
         kernel.sys_mkdir(root, "/mnt2")
+        kernel.write_file(root, "/mnt2/under", b"under")
+        kernel.sys_mkdir(root, "/mnt2x")
+        for name in (path, "/mnt2", "/mnt2/under", "/mnt2x"):
+            kernel.sys_stat(root, name)
         fp = kernel.fastpath
-        entries, stale_before = len(fp), fp.stats.stale_evictions
-        assert entries > 0
-        kernel.sys_mount(root, "tmpfs", "/mnt2", "tmpfs")
-        # The mount bump empties the table; each dropped entry is stale.
-        assert len(fp) == 0
-        assert fp.stats.stale_evictions == stale_before + entries
-        misses_before = fp.stats.misses
-        kernel.sys_stat(root, path)  # layered re-walk, fused again
-        assert fp.stats.misses == misses_before + 1
-        assert len(fp) == 1
-        kernel.sys_umount(root, "/mnt2")
-        assert len(fp) == 0
-        assert fp.stats.stale_evictions == stale_before + entries + 1
+        stale_before = fp.stats.stale_evictions
+
+        def drops_only_the_subtree(change):
+            doomed = _fused_under(fp, "/mnt2")
+            entries, dropped = len(fp), fp.stats.invalidations
+            change()
+            # Exactly the mountpoint's subtree goes, counted as
+            # invalidations; nothing is stale, and a sibling that only
+            # shares the string prefix stays fused.
+            assert doomed > 0 and _fused_under(fp, "/mnt2") == 0
+            assert len(fp) == entries - doomed
+            assert fp.stats.invalidations == dropped + doomed
+            assert fp.stats.stale_evictions == stale_before
+            hits = fp.stats.hits
+            kernel.sys_stat(root, path)
+            kernel.sys_stat(root, "/mnt2x")
+            assert fp.stats.hits == hits + 2
+
+        drops_only_the_subtree(
+            lambda: kernel.sys_mount(root, "tmpfs", "/mnt2", "tmpfs"))
+        with pytest.raises(SyscallError) as err:
+            kernel.sys_stat(root, "/mnt2/under")
+        assert err.value.errno_value == Errno.ENOENT
+        kernel.sys_stat(root, "/mnt2")
+        drops_only_the_subtree(lambda: kernel.sys_umount(root, "/mnt2"))
+        assert kernel.sys_stat(root, "/mnt2/under").size == len(b"under")
 
     def test_policy_flush_orphans_every_fused_entry(self, kernel, root):
         path = _deep_file(kernel, root)
@@ -410,15 +434,17 @@ class TestEntryGate:
 # The generation hub
 # ======================================================================
 class TestGenerationHub:
-    def test_mount_and_policy_bumps_flush_every_subscriber(self):
+    def test_policy_bump_flushes_every_subscriber_and_mount_bump_none(
+            self):
         hub = GenerationHub()
         flushed = []
         hub.subscribe_flush(lambda: flushed.append("a"))
         hub.subscribe_flush(lambda: flushed.append("b"))
+        # A mount is announced by path; its bump only counts.
         assert hub.bump_mount() == 1
-        assert flushed == ["a", "b"]
+        assert flushed == []
         assert hub.bump_policy() == 1
-        assert flushed == ["a", "b", "a", "b"]
+        assert flushed == ["a", "b"]
 
     def test_one_sid_per_context_and_no_flush(self):
         hub = GenerationHub()
@@ -455,9 +481,9 @@ class TestGenerationHub:
         assert kernel.vfs.dcache.generations is hub
         assert kernel.security_server.generations is hub
         assert kernel.fastpath.generations is hub
-        # A dcache mount bump is the hub's.
+        # A VFS mount-table change bumps the hub's mount generation.
         before = hub.mount
-        kernel.vfs.dcache.bump_mount_epoch()
+        kernel.vfs.attach("/mnt", Filesystem("tmpfs"))
         assert hub.mount == before + 1
 
 

@@ -15,7 +15,9 @@ arguments. These tests pin that split from the outside:
   transition still yields a new snapshot and a new id;
 * the LSM chain never writes into a setuid decision a module returned;
 * setuid, setgid and setgroups refuse an invalid id with EINVAL before
-  any policy is asked, as Linux's ``uid_valid``/``gid_valid`` do.
+  any policy is asked, as Linux's ``uid_valid``/``gid_valid`` do;
+* setgroups refuses a list longer than ``NGROUPS_MAX`` with EINVAL,
+  after the privilege check and before it reads a gid.
 """
 
 import dataclasses
@@ -27,6 +29,7 @@ from repro.kernel import modes
 from repro.kernel.errno import Errno, SyscallError
 from repro.kernel.lsm import HookResult, LSMChain, SecurityModule, SetuidDecision
 from repro.kernel.security import AccessRequest
+from repro.kernel.syscalls import NGROUPS_MAX
 
 MODES = [SystemMode.LINUX, SystemMode.PROTEGO]
 
@@ -256,6 +259,26 @@ def test_setgroups_checks_privilege_then_the_ids(mode, bad):
     with pytest.raises(SyscallError) as err:
         kernel.sys_setgroups(alice, [bad])
     assert err.value.errno_value == Errno.EPERM
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_setgroups_refuses_more_than_ngroups_max(mode):
+    system = System(mode)
+    kernel = system.kernel
+    root = system.root_session()
+    alice = system.session_for("alice")
+    cred = root.cred
+    # The list is counted as passed: duplicates count too.
+    for too_many in (list(range(NGROUPS_MAX + 1)), [27] * (NGROUPS_MAX + 1)):
+        with pytest.raises(SyscallError) as err:
+            kernel.sys_setgroups(root, too_many)
+        assert err.value.errno_value == Errno.EINVAL
+        assert root.cred is cred
+    with pytest.raises(SyscallError) as err:
+        kernel.sys_setgroups(alice, list(range(NGROUPS_MAX + 1)))
+    assert err.value.errno_value == Errno.EPERM
+    kernel.sys_setgroups(root, list(range(NGROUPS_MAX)))
+    assert root.cred.groups == frozenset(range(NGROUPS_MAX))
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -12,6 +12,10 @@ subject id with another: a second alice session running alice's
 binary, and a child of bob that execs mid-run and so leaves bob's
 context for its own.
 
+The mountpoint, a file it covers and a file that exists only inside
+the mounted tmpfs are among the looked-up names, so a mount whose
+invalidation misses its own subtree diverges too.
+
 Any missed invalidation edge — a mutation the flush or prefix
 fan-out fails to cover — surfaces here as a divergence with the seed,
 round, task, and path in the failure message. After every round each
@@ -87,7 +91,12 @@ def _build_world(kernel, root):
             kernel.write_file(root, path, b"seed")
             paths.append(path)
     paths += ["/prop/a", "/prop/b/missing", "/prop/absent/deep"]
+    # The mountpoint, a file the mount covers, and a name that exists
+    # only inside the tmpfs (written by each mount): a mount must drop
+    # every cached answer about them, and nothing else needs to go.
     kernel.sys_mkdir(root, "/prop/mnt")
+    kernel.write_file(root, "/prop/mnt/under", b"under")
+    paths += ["/prop/mnt", "/prop/mnt/under", "/prop/mnt/top"]
     return paths
 
 
@@ -129,6 +138,7 @@ def test_fused_verdicts_match_the_layered_oracle(seed):
                              rng.choice((0, alice.cred.ruid, bob.cred.ruid)))
         elif kind == "mount" and not mounted:
             kernel.sys_mount(root, "tmpfs", "/prop/mnt", "tmpfs")
+            kernel.write_file(root, "/prop/mnt/top", b"top")
             mounted = True
         elif kind == "umount" and mounted:
             kernel.sys_umount(root, "/prop/mnt")
