@@ -10,6 +10,7 @@ report directory and to ``BENCH_decision_cache.json`` at the repo root
 for machine consumption.
 """
 
+import functools
 import json
 import time
 from pathlib import Path
@@ -20,60 +21,61 @@ from repro.kernel import modes
 from repro.kernel.capabilities import Capability
 from repro.kernel.errno import Errno
 from repro.kernel.net.socket import AddressFamily, SocketType
-from repro.kernel.security import OBJ, AccessRequest
+from repro.kernel.security import OBJ
 
 ITERATIONS = max(300, int(20_000 * bench_scale()))
 BATCHES = 3
 JSON_PATH = Path(__file__).resolve().parent.parent / "BENCH_decision_cache.json"
 
 
-def _decision_requests(system):
-    """One AccessRequest per benchmarked decision, each shaped exactly
-    as the corresponding syscall shapes it. Requests are frozen, so a
-    single instance replays cleanly; re-checking it is precisely the
-    repeated-decision workload the cache exists for."""
+def _decision_questions(system):
+    """One question per benchmarked decision, each asked exactly as the
+    corresponding syscall asks it, bound with :func:`functools.partial`
+    so replaying it is one call: precisely the repeated-decision
+    workload the cache exists for."""
     kernel = system.kernel
     root = system.root_session()
+    server = kernel.security_server
     kernel.sys_mkdir(root, "/bench")
     kernel.write_file(root, "/bench/data", b"x" * 64)
     sock = kernel.sys_socket(root, AddressFamily.AF_INET, SocketType.STREAM)
 
-    stat_request = AccessRequest(
-        hook="inode_permission", task=root, obj="/bench/data",
-        mask=modes.R_OK, args=("/bench/data", OBJ, modes.R_OK),
+    stat_question = functools.partial(
+        server.check, "inode_permission", root, "/bench/data",
+        ("/bench/data", OBJ, modes.R_OK), mask=modes.R_OK,
         dac=lambda: kernel.vfs.path_permission(
             root.cred, "/bench/data", modes.R_OK))
 
-    open_request = AccessRequest(
-        hook="file_open", task=root, obj="/bench/data",
-        mask=modes.R_OK, args=("/bench/data", OBJ, modes.O_RDONLY),
+    open_question = functools.partial(
+        server.check, "file_open", root, "/bench/data",
+        ("/bench/data", OBJ, modes.O_RDONLY), mask=modes.R_OK,
         dac=lambda: kernel.vfs.path_permission(
             root.cred, "/bench/data", modes.R_OK),
         deny_errno=Errno.EACCES)
 
-    bind_request = AccessRequest(
-        hook="socket_bind", task=root,
-        obj=f"port:600/{sock.protocol}", mask=600, args=(sock, 600),
+    bind_question = functools.partial(
+        server.check, "socket_bind", root, f"port:600/{sock.protocol}",
+        (sock, 600), mask=600,
         capability=Capability.CAP_NET_BIND_SERVICE,
         deny_errno=Errno.EACCES)
 
-    return kernel.security_server, {
-        "stat": stat_request,
-        "open": open_request,
-        "bind": bind_request,
+    return server, {
+        "stat": stat_question,
+        "open": open_question,
+        "bind": bind_question,
     }
 
 
-def _time_pass(server, request, iterations):
+def _time_pass(question, iterations):
     """Microseconds per decision over one timed pass."""
     start = time.perf_counter()
     for _ in range(iterations):
-        decision = server.check(request)
+        decision = question()
         assert decision.allowed
     return (time.perf_counter() - start) / iterations * 1e6
 
 
-def _measure(server, request):
+def _measure(server, question):
     """Best-of-N interleaved passes, cache on vs off, to shrug off
     co-running load the same way the lmbench harness does."""
     on_us, off_us = [], []
@@ -81,20 +83,20 @@ def _measure(server, request):
     for _ in range(BATCHES):
         server.cache_enabled = True
         server.flush(reason="bench pass")
-        server.check(request)  # warm the single hot entry
-        on_us.append(_time_pass(server, request, per_pass))
+        question()  # warm the single hot entry
+        on_us.append(_time_pass(question, per_pass))
         server.cache_enabled = False
         server.flush(reason="bench pass")
-        off_us.append(_time_pass(server, request, per_pass))
+        off_us.append(_time_pass(question, per_pass))
     server.cache_enabled = True
     return min(on_us), min(off_us)
 
 
 def test_decision_cache_speedup(write_report):
-    server, requests = _decision_requests(System(SystemMode.PROTEGO))
+    server, questions = _decision_questions(System(SystemMode.PROTEGO))
     results = {}
-    for name, request in requests.items():
-        on_us, off_us = _measure(server, request)
+    for name, question in questions.items():
+        on_us, off_us = _measure(server, question)
         results[name] = {
             "cache_on_us": round(on_us, 4),
             "cache_off_us": round(off_us, 4),

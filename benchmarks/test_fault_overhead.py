@@ -6,7 +6,12 @@ allocation, and the decision-cache insert — each behind a single
 branch key. This benchmark measures that guard directly: every
 instrumented function is raced against a guard-free clone (the
 pre-instrumentation body) on identical workloads, interleaved
-best-of-batches, and the disarmed overhead must stay under 5%.
+best-of-batches, and the disarmed overhead must stay under 5%. Before
+any pass is timed, each op runs once under the originals and once
+under the clones, and both runs must return the same value, move the
+same ``kernel.avc.*`` and ``kernel.dcache.*`` counters and append the
+same audit rows: a clone that drifted from its original fails there
+instead of timing different work.
 
 Workloads are insert-heavy on purpose — caches are flushed every
 iteration so the guarded lines actually execute. Steady-state hit
@@ -16,6 +21,7 @@ Results land in ``BENCH_fault_overhead.json`` at the repo root and
 ``benchmarks/reports/fault_overhead.txt``.
 """
 
+import dataclasses
 import json
 import time
 from pathlib import Path
@@ -24,13 +30,14 @@ from benchmarks.conftest import bench_scale
 from repro.core import System, SystemMode
 from repro.kernel import modes
 from repro.kernel.dcache import MAX_CREDS, MAX_ENTRIES, DentryCache
-from repro.kernel.errno import SyscallError
-from repro.kernel.security import LAYER_DAC, LAYER_DEFAULT, Decision
+from repro.kernel.errno import Errno, SyscallError
+from repro.kernel.security import LAYER_DAC, LAYER_DEFAULT, OBJ, Decision
 from repro.kernel.security.server import (
     _FASTPATH_UNCACHEABLE_ERRNOS,
+    _PATH_HOOKS,
     _UNCACHEABLE_ERRNOS,
+    CACHEABLE_HOOKS,
     SecurityServer,
-    _hook_args,
 )
 
 ITERATIONS = max(200, int(4_000 * bench_scale()))
@@ -65,42 +72,48 @@ def _perms_for_unguarded(self, cred):
     return perms
 
 
-def _check_unguarded(self, req):
-    key = self._key(req)
-    if key is not None:
-        self.stats.lookups += 1
+def _check_unguarded(self, hook, task, obj, args=(), *, mask=0, dac=None,
+                     capability=None, fallback=None, deny_errno=Errno.EPERM,
+                     context="", layer=LAYER_DEFAULT):
+    stats = self.stats
+    key = None
+    if (self.cache_enabled and hook in CACHEABLE_HOOKS
+            and (dac is not None or hook not in _PATH_HOOKS)):
+        if task.sid_cred is task.cred and task.sid_exe is task.exe_path:
+            sid = task.sid
+        else:
+            sid = self.generations.subject(task)
+        key = (hook, obj, sid, mask)
+        stats.lookups += 1
         hit = self._cache.get(key)
         if hit is not None:
-            self.stats.hits += 1
-            self._record(req, hit, cached=True)
+            stats.hits += 1
+            self._record(task, hook, obj, mask, hit, True)
             return hit
-        self.stats.misses += 1
+        stats.misses += 1
     else:
-        self.stats.uncacheable += 1
-    hook = req.hook
+        stats.uncacheable += 1
     value = None
     outcome = None
-    if req.dac is not None:
+    if dac is not None:
+        layer = LAYER_DAC
         try:
-            value = req.dac()
+            value = dac()
         except SyscallError as exc:
             outcome = self._deny(hook, LAYER_DAC, exc.errno_value,
-                                 exc.context or req.context)
-    args = _hook_args(req, value)
+                                 exc.context or context)
+        args = tuple([value if arg is OBJ else arg for arg in args])
     if outcome is None:
-        outcome = self._compose(
-            hook, req.task, args, req.capability, req.fallback,
-            req.deny_errno, req.context,
-            LAYER_DAC if req.dac is not None else LAYER_DEFAULT)
+        outcome = self._compose(hook, task, args, capability, fallback,
+                                deny_errno, context, layer)
     verdict, layer, errno, context, lsm_module, pending = outcome
-    cache_ok = key is not None and self.lsm.cache_ok(hook, req.task, *args)
+    cache_ok = key is not None and self.lsm.cache_ok(hook, task, *args)
     decision = Decision(
-        verdict, layer, hook, req.obj, errno, context, lsm_module,
-        pending, value,
-        cache_ok and errno not in _FASTPATH_UNCACHEABLE_ERRNOS)
+        verdict, layer, hook, obj, errno, context, lsm_module, pending,
+        value, cache_ok and errno not in _FASTPATH_UNCACHEABLE_ERRNOS)
     if cache_ok and errno not in _UNCACHEABLE_ERRNOS:
         self._cache.put(key, decision)
-    self._record(req, decision, cached=False)
+    self._record(task, hook, obj, mask, decision, False)
     return decision
 
 
@@ -151,20 +164,47 @@ def _ops(kernel, root, deep_path):
 
     def op_dcache_insert():
         dcache.flush()
-        kernel.sys_stat(root, deep_path)
+        return kernel.sys_stat(root, deep_path)
 
     def op_decision_insert():
         # stat consults no security module; access(2) asks the server
         # an inode_permission question, which misses and inserts.
         server.flush()
-        kernel.sys_access(root, deep_path, modes.R_OK)
+        return kernel.sys_access(root, deep_path, modes.R_OK)
 
     def op_warm_stat():
-        kernel.sys_stat(root, deep_path)
+        return kernel.sys_stat(root, deep_path)
 
     return {"dcache insert": op_dcache_insert,
             "decision insert": op_decision_insert,
             "warm stat": op_warm_stat}
+
+
+def _observe(kernel, op):
+    """One run of *op*: its return value, its ``kernel.avc.*`` and
+    ``kernel.dcache.*`` counter deltas, and the audit rows it added
+    (without ``seq`` and ``clock``, which advance between runs)."""
+    audit = kernel.security_server.audit
+    base = kernel.metrics.snapshot()
+    seq = audit.seq
+    result = op()
+    counters = {name: delta
+                for name, delta in kernel.metrics.delta(base).items()
+                if name.startswith(("kernel.avc.", "kernel.dcache."))}
+    rows = [dataclasses.replace(entry, seq=0, clock=0)
+            for entry in audit.entries() if entry.seq > seq]
+    return result, counters, rows
+
+
+def _assert_clones_match(kernel, op):
+    """The clones stand in for the originals only if they do the same
+    work: one run under each must return the same value, move the same
+    cache counters and append the same audit rows."""
+    op()  # warm
+    original = _observe(kernel, op)
+    with _patched():
+        clone = _observe(kernel, op)
+    assert clone == original
 
 
 def _time_pass(op, iterations):
@@ -190,7 +230,10 @@ def test_disarmed_fault_sites_are_cheap(write_report):
     kernel, root, deep_path = _system()
     assert not kernel.faults.any_armed
     results = {}
-    for name, op in _ops(kernel, root, deep_path).items():
+    ops = _ops(kernel, root, deep_path)
+    for op in ops.values():
+        _assert_clones_match(kernel, op)
+    for name, op in ops.items():
         guarded, unguarded = _measure(op)
         overhead = (guarded - unguarded) / unguarded * 100.0
         results[name] = {

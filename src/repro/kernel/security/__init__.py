@@ -2,12 +2,12 @@
 
 Public surface:
 
-* :class:`AccessRequest` / :class:`Decision` — structured access
-  questions and attributed answers (which layer decided: DAC,
+* :class:`Decision` — an attributed answer (which layer decided: DAC,
   capability, apparmor, protego);
 * :class:`SecurityServer` — the single composition point for
-  DAC + LSM chain + capability checks, with a decision cache keyed
-  on subject ids and explicit invalidation (object flushes, global
+  DAC + LSM chain + capability checks, asked through one call,
+  :meth:`SecurityServer.check`, with a decision cache keyed on
+  subject ids and explicit invalidation (object flushes, global
   policy-reload flushes);
 * :class:`AuditRing` / :class:`AuditEntry` — the bounded decision
   trail behind ``/proc/protego/audit``.
@@ -15,7 +15,6 @@ Public surface:
 
 from repro.kernel.security.access import (
     OBJ,
-    AccessRequest,
     Decision,
     LAYER_CAPABILITY,
     LAYER_DAC,
@@ -27,7 +26,6 @@ from repro.kernel.security.server import CACHEABLE_HOOKS, CacheStats, SecuritySe
 
 __all__ = [
     "OBJ",
-    "AccessRequest",
     "AuditEntry",
     "AuditRing",
     "CACHEABLE_HOOKS",

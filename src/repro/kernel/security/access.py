@@ -1,17 +1,12 @@
-"""Structured access requests and decisions for the reference monitor.
+"""Decisions of the reference monitor.
 
-Every policy question the syscall layer asks is answered with a
-:class:`Decision`. A question the decision cache (the AVC) can hold is
-phrased as an :class:`AccessRequest`, the AVC's question, and asked
-through :meth:`SecurityServer.check`. The request names the subject
-(the calling task), the object (a stable string identity: a path,
-``port:25/tcp``, ``cap:CAP_SYS_ADMIN``, ...), the LSM hook to consult,
-and the default policy that applies when no security module has an
-opinion (a DAC thunk, a required capability, or an identity fallback).
-The questions the cache never holds (setuid, setgid, mount, umount,
-ioctl, exec validation, route add, create-time opens) build no
-request: :meth:`SecurityServer.decide` takes the same fields as
-arguments.
+Every policy question the syscall layer asks goes through
+:meth:`SecurityServer.check` and is answered with a
+:class:`Decision`. The question names the subject (the calling task),
+the object (a stable string identity: a path, ``port:25/tcp``,
+``cap:CAP_SYS_ADMIN``, ...), the LSM hook to consult, and the default
+policy that applies when no security module has an opinion (a DAC
+thunk, a required capability, or an identity fallback).
 
 The decision records the verdict *and which layer decided it* — DAC,
 a named LSM module (apparmor, protego), the capability system, or the
@@ -21,24 +16,19 @@ syscall's outcome.
 
 A :class:`Decision` is an immutable tuple record: the decision cache
 hands the same object to every later asker, so nothing may change it
-after the server builds it, and every uncached hook builds one per
+after the server builds it, and every uncached question builds one per
 call, where a frozen dataclass cost several times a tuple.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
-from typing import Any, Callable, NamedTuple, Optional, Tuple, TYPE_CHECKING
+from typing import Any, NamedTuple, Optional
 
-from repro.kernel.capabilities import Capability
 from repro.kernel.errno import Errno, SyscallError
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.kernel.task import Task
 
-
-#: Sentinel placed in :attr:`AccessRequest.args`; the server replaces
+#: Sentinel placed in a question's hook arguments; the server replaces
 #: it with the DAC layer's return value (e.g. the resolved inode)
 #: before invoking the LSM hook.
 OBJ = object()
@@ -55,30 +45,6 @@ class Verdict(enum.Enum):
 
     ALLOW = "allow"
     DENY = "deny"
-
-
-@dataclasses.dataclass(frozen=True)
-class AccessRequest:
-    """One cacheable policy question (a hook in ``CACHEABLE_HOOKS``).
-
-    ``dac`` runs *before* the LSM chain (matching the VFS order: a
-    DAC failure is final, modules cannot override it); its return
-    value — typically the resolved inode — is kept on the decision and
-    substituted for the :data:`OBJ` sentinel in ``args``. ``capability``
-    and ``fallback`` form the default policy consulted only when every
-    module passes: capability first, then the identity fallback.
-    """
-
-    hook: str
-    task: "Task"
-    obj: str
-    mask: int = 0
-    args: Tuple[Any, ...] = ()
-    dac: Optional[Callable[[], Any]] = None
-    capability: Optional[Capability] = None
-    fallback: Optional[Callable[[], bool]] = None
-    deny_errno: Errno = Errno.EPERM
-    context: str = ""
 
 
 class Decision(NamedTuple):

@@ -25,25 +25,18 @@ keys do. Invalidation is explicit:
 Every decision — hit or miss — is appended to the bounded audit ring
 surfaced at ``/proc/protego/audit``.
 
-Two entry points share one composition (LSM chain, then capability,
-then identity fallback):
-
-* :meth:`SecurityServer.check` answers the cacheable questions
-  (:data:`CACHEABLE_HOOKS`), phrased as an :class:`AccessRequest`: a
-  cache probe, else the DAC step and the composition, with the result
-  inserted unless a module vetoes. Any other hook raises.
-* :meth:`SecurityServer.decide` answers the questions the cache never
-  holds (setuid, setgid, mount, umount, ioctl, exec validation, route
-  add, create-time opens) straight from their arguments: no request
-  object, no key, one :class:`~repro.kernel.security.access.Decision`
-  and the same ``cached=0`` audit row ``check`` writes for a miss.
-
-A decision is a tuple record, built once with its ``fastpath_ok`` flag
-already set. The capability check a default policy falls back on is a
-direct probe of the ``("capable", "cap:NAME", sid, 0)`` cache key. A
-hit bumps the same lookup and hit counters and appends the same audit
-row that :meth:`SecurityServer.check` would have. Only a miss builds an
-:class:`AccessRequest` and goes through :meth:`check`.
+One entry point, :meth:`SecurityServer.check`, answers every question
+from its arguments: the hook, the asking task, the object's identity,
+the hook's own arguments, and the default policy (a DAC thunk, a
+required capability, an identity fallback). A question is keyed and
+held only if its hook is in :data:`CACHEABLE_HOOKS`; a path question
+(``file_open``, ``inode_permission``) is held only when it comes with
+its DAC thunk, whose value (the resolved inode) a later hit returns.
+Every other question — setuid, setgid, mount, umount, ioctl, exec
+validation, route add, create-time opens — is composed afresh and
+counted as ``uncacheable``. Hit or miss, a decision is one tuple
+record, built once with its ``fastpath_ok`` flag already set, and one
+audit row written by :meth:`SecurityServer._record`.
 """
 
 from __future__ import annotations
@@ -59,7 +52,6 @@ from repro.kernel.lsm import HookResult, LSMChain
 from repro.kernel.pathindex import PathCache
 from repro.kernel.security.access import (
     OBJ,
-    AccessRequest,
     Decision,
     LAYER_CAPABILITY,
     LAYER_DAC,
@@ -72,14 +64,19 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.task import Task
 
 #: Hooks whose decisions are pure functions of (credentials, object,
-#: loaded policy) and therefore safe to cache: the questions
-#: :meth:`SecurityServer.check` answers. Hooks with side effects or
-#: per-call state (setuid deferral, bprm pending transitions,
+#: loaded policy) and therefore safe to cache. Hooks with side effects
+#: or per-call state (setuid deferral, bprm pending transitions,
 #: mount-table bookkeeping, ioctl argument-dependent checks) are
-#: always recomputed, through :meth:`SecurityServer.decide`.
+#: always recomputed.
 CACHEABLE_HOOKS = frozenset(
     {"capable", "inode_permission", "file_open", "socket_bind", "socket_create"}
 )
+
+#: The cacheable hooks that ask about a path. Their hits return the
+#: DAC thunk's value (the resolved inode), so they are held only when
+#: asked with one: a create-time open, whose DAC check already ran,
+#: is not.
+_PATH_HOOKS = frozenset({"file_open", "inode_permission"})
 
 #: Denials that merely report non-existence are not access decisions;
 #: caching them would mask a later create of the same name.
@@ -106,11 +103,6 @@ _Outcome = Tuple[Verdict, str, Optional[Errno], str, Optional[str], Any]
 #: Decision-cache capacity (FIFO) and audit-ring capacity.
 CACHE_SIZE = 2048
 AUDIT_SIZE = 4096
-
-
-def _hook_args(req: AccessRequest, value: Any) -> tuple:
-    """*req*'s hook arguments with the resolved object in place of OBJ."""
-    return tuple(value if arg is OBJ else arg for arg in req.args)
 
 
 @dataclasses.dataclass
@@ -159,37 +151,57 @@ class SecurityServer:
     # ------------------------------------------------------------------
     # The monitor
     # ------------------------------------------------------------------
-    def check(self, req: AccessRequest) -> Decision:
-        """Answer a cacheable question: cache lookup, else the DAC step
-        and the full composition. A hook outside
-        :data:`CACHEABLE_HOOKS` raises ``ValueError``: ask
-        :meth:`decide`."""
-        key = self._key(req)
-        if key is not None:
-            self.stats.lookups += 1
+    def check(self, hook: str, task: "Task", obj: str, args: tuple = (), *,
+              mask: int = 0, dac: Optional[Callable[[], Any]] = None,
+              capability: Optional[Capability] = None,
+              fallback: Optional[Callable[[], bool]] = None,
+              deny_errno: Errno = Errno.EPERM, context: str = "",
+              layer: str = LAYER_DEFAULT) -> Decision:
+        """Answer one policy question: a cache probe when the question
+        may be held, else the DAC step and the full composition.
+
+        *obj* is the object's stable identity (a path,
+        ``port:25/tcp``, ``cap:CAP_SYS_ADMIN``) and, with the hook,
+        the subject id and *mask*, the cache key. *args* are the LSM
+        hook's arguments; the :data:`OBJ` sentinel among them is
+        replaced by what *dac* returned. *dac* runs first and its
+        :class:`SyscallError` is final. *capability* and *fallback*
+        are the default policy consulted only when every module
+        passes: capability first, then the identity fallback. *layer*
+        is credited when nobody decides and there is no *dac*; a
+        create-time open, whose DAC check (write on the parent) has
+        already passed, names ``LAYER_DAC``."""
+        stats = self.stats
+        key = None
+        if (self.cache_enabled and hook in CACHEABLE_HOOKS
+                and (dac is not None or hook not in _PATH_HOOKS)):
+            if task.sid_cred is task.cred and task.sid_exe is task.exe_path:
+                sid = task.sid
+            else:
+                sid = self.generations.subject(task)
+            key = (hook, obj, sid, mask)
+            stats.lookups += 1
             hit = self._cache.get(key)
             if hit is not None:
-                self.stats.hits += 1
-                self._record(req, hit, cached=True)
+                stats.hits += 1
+                self._record(task, hook, obj, mask, hit, True)
                 return hit
-            self.stats.misses += 1
+            stats.misses += 1
         else:
-            self.stats.uncacheable += 1
-        hook = req.hook
+            stats.uncacheable += 1
         value = None
         outcome = None
-        if req.dac is not None:
+        if dac is not None:
+            layer = LAYER_DAC
             try:
-                value = req.dac()
+                value = dac()
             except SyscallError as exc:
                 outcome = self._deny(hook, LAYER_DAC, exc.errno_value,
-                                     exc.context or req.context)
-        args = _hook_args(req, value)
+                                     exc.context or context)
+            args = tuple([value if arg is OBJ else arg for arg in args])
         if outcome is None:
-            outcome = self._compose(
-                hook, req.task, args, req.capability, req.fallback,
-                req.deny_errno, req.context,
-                LAYER_DAC if req.dac is not None else LAYER_DEFAULT)
+            outcome = self._compose(hook, task, args, capability, fallback,
+                                    deny_errno, context, layer)
         verdict, layer, errno, context, lsm_module, pending = outcome
         # The module cacheability veto runs at insert time only: a
         # vetoed decision is never inserted, so no hit can ever serve
@@ -197,90 +209,28 @@ class SecurityServer:
         # arguments. Modules whose veto set mutates at runtime must
         # invalidate on mutation (binary-ACL growth and profile loads
         # flush globally).
-        cache_ok = key is not None and self.lsm.cache_ok(hook, req.task, *args)
+        cache_ok = key is not None and self.lsm.cache_ok(hook, task, *args)
         # The same veto governs the fused fast path: a decision no
         # module objects to memoizing may be fused upstream (the
         # syscall layer still requires a cached dentry). The flag is
         # part of the cached decision, so a hit replays it.
         decision = Decision(
-            verdict, layer, hook, req.obj, errno, context, lsm_module,
-            pending, value,
-            cache_ok and errno not in _FASTPATH_UNCACHEABLE_ERRNOS)
+            verdict, layer, hook, obj, errno, context, lsm_module, pending,
+            value, cache_ok and errno not in _FASTPATH_UNCACHEABLE_ERRNOS)
         if cache_ok and errno not in _UNCACHEABLE_ERRNOS:
             if self.fault_site.armed and self.fault_site.should_fail(hook):
-                self.stats.alloc_failures += 1
+                stats.alloc_failures += 1
             else:
                 self._cache.put(key, decision)
-        self._record(req, decision, cached=False)
+        self._record(task, hook, obj, mask, decision, False)
         return decision
-
-    def decide(self, hook: str, task: "Task", obj: str, args: tuple = (), *,
-               mask: int = 0, capability: Optional[Capability] = None,
-               fallback: Optional[Callable[[], bool]] = None,
-               deny_errno: Errno = Errno.EPERM, context: str = "",
-               layer: str = LAYER_DEFAULT) -> Decision:
-        """Answer a question the cache never holds, straight from its
-        arguments: the composition :meth:`check` runs on a miss, one
-        :class:`Decision` and the same ``cached=0`` audit row, counted
-        as ``uncacheable``.
-
-        *args* are the hook's own arguments; *capability* and
-        *fallback* are the default policy, as on an
-        :class:`AccessRequest`. *layer* is credited when every module
-        passes and no capability is named; a create-time open, whose
-        DAC check (the parent's write permission) has already passed,
-        names ``LAYER_DAC``."""
-        self.stats.uncacheable += 1
-        verdict, layer, errno, context, lsm_module, pending = self._compose(
-            hook, task, args, capability, fallback, deny_errno, context, layer)
-        # _record's row for this decision (keep in lockstep).
-        cred = task.cred
-        self.audit.record((
-            self._clock(), task.pid, cred.ruid, cred.euid,
-            hook, obj, mask, verdict.value, layer, False,
-            errno.name if errno is not None else "", context,
-        ))
-        return Decision(verdict, layer, hook, obj, errno, context,
-                        lsm_module, pending)
 
     def capable(self, task: "Task", cap: Capability, context: str = "") -> bool:
         """The kernel's single capability funnel, as a cached, audited
-        decision (LSM ``capable`` hook may veto or grant).
-
-        A hit is served by probing the decision cache directly, with
-        the counters and audit row :meth:`check` would have produced;
-        only a miss builds the request and goes through :meth:`check`.
-        """
-        obj = _CAP_OBJ[cap]
-        if self.cache_enabled:
-            if task.sid_cred is task.cred and task.sid_exe is task.exe_path:
-                sid = task.sid
-            else:
-                sid = self.generations.subject(task)
-            hit = self._cache.get(("capable", obj, sid, 0))
-            if hit is not None:
-                stats = self.stats
-                stats.lookups += 1
-                stats.hits += 1
-                # _record's row for this hit (keep in lockstep).
-                cred = task.cred
-                self.audit.record((
-                    self._clock(), task.pid, cred.ruid, cred.euid,
-                    "capable", obj, 0, hit.verdict.value, hit.layer, True,
-                    hit.errno.name if hit.errno is not None else "",
-                    hit.context,
-                ))
-                return hit.verdict is Verdict.ALLOW
-        return self.check(
-            AccessRequest(
-                hook="capable",
-                task=task,
-                obj=obj,
-                args=(cap,),
-                capability=cap,
-                context=context,
-            )
-        ).allowed
+        decision (LSM ``capable`` hook may veto or grant)."""
+        return self.check("capable", task, _CAP_OBJ[cap], (cap,),
+                          capability=cap, context=context).verdict \
+            is Verdict.ALLOW
 
     # ------------------------------------------------------------------
     # Composition: LSM chain -> capability -> identity fallback
@@ -328,21 +278,8 @@ class SecurityServer:
         return (Verdict.DENY, layer, errno, context, lsm_module, None)
 
     # ------------------------------------------------------------------
-    # Cache keying and invalidation
+    # Invalidation
     # ------------------------------------------------------------------
-    def _key(self, req: AccessRequest) -> Optional[Tuple]:
-        if req.hook not in CACHEABLE_HOOKS:
-            raise ValueError(f"{req.hook} decisions are never cached: "
-                             "ask SecurityServer.decide")
-        if not self.cache_enabled:
-            return None
-        task = req.task
-        if task.sid_cred is task.cred and task.sid_exe is task.exe_path:
-            sid = task.sid
-        else:
-            sid = self.generations.subject(task)
-        return (req.hook, req.obj, sid, req.mask)
-
     def invalidate_prefix(self, path: str) -> None:
         """Drop cached decisions about *path* and anything beneath it —
         a chmod on a directory changes the search permission of every
@@ -368,13 +305,13 @@ class SecurityServer:
         """Side-effect-only hooks (task_alloc, bprm_committing_creds)."""
         self.lsm.notify(hook, *args)
 
-    def _record(self, req: AccessRequest, decision: Decision, cached: bool) -> None:
+    def _record(self, task: "Task", hook: str, obj: str, mask: int,
+                decision: Decision, cached: bool) -> None:
         # Positional row matching AuditEntry field order (minus seq) —
         # this runs on every cache hit, so no dataclass construction.
-        cred = req.task.cred
+        cred = task.cred
         self.audit.record((
-            self._clock(), req.task.pid, cred.ruid, cred.euid,
-            req.hook, req.obj, req.mask,
+            self._clock(), task.pid, cred.ruid, cred.euid, hook, obj, mask,
             decision.verdict.value, decision.layer, cached,
             decision.errno.name if decision.errno is not None else "",
             decision.context,

@@ -3,10 +3,10 @@
 Each method takes the calling :class:`~repro.kernel.task.Task` first,
 mirroring the implicit ``current`` of a real kernel. Every policy
 question goes to the kernel's reference monitor
-(:class:`~repro.kernel.security.SecurityServer`): one its decision
-cache can hold as an :class:`~repro.kernel.security.AccessRequest`
-through ``check``, any other straight from its arguments through
-``decide``. Both compose the layers in the paper's order:
+(:class:`~repro.kernel.security.SecurityServer`) as one ``check``
+call that names the hook, the object, the hook's arguments and the
+default policy; the server decides which of those questions its
+decision cache may hold. It composes the layers in the paper's order:
 
 1. DAC runs first and its denial is final;
 2. LSM hooks may DENY outright or ALLOW an operation the default
@@ -56,12 +56,7 @@ from repro.kernel.net.socket import (
     SocketType,
     PRIVILEGED_PORT_MAX,
 )
-from repro.kernel.security import (
-    OBJ,
-    AccessRequest,
-    LAYER_CAPABILITY,
-    LAYER_DAC,
-)
+from repro.kernel.security import OBJ, LAYER_CAPABILITY, LAYER_DAC
 from repro.kernel.task import Task
 from repro.kernel.vfs import NORM_MEMO, Filesystem, normalize
 
@@ -235,11 +230,9 @@ class SyscallMixin:
                 if hit.errno is not None:
                     raise SyscallError(hit.errno, hit.context)
                 return hit.inode
-        decision = self.security_server.check(AccessRequest(
-            hook="inode_permission", task=task, obj=path, mask=mask,
-            args=(path, OBJ, mask),
-            dac=lambda: self.vfs.lookup(path, task.cred, mask),
-        ))
+        decision = self.security_server.check(
+            "inode_permission", task, path, (path, OBJ, mask), mask=mask,
+            dac=lambda: self.vfs.lookup(path, task.cred, mask))
         self._fuse(fp_key, decision, mask, path)
         if not decision.allowed:
             raise decision.denial()
@@ -270,10 +263,9 @@ class SyscallMixin:
             self.vfs.check_permission(task.cred, parent, mask)
             return parent
 
-        decision = self.security_server.check(AccessRequest(
-            hook="inode_permission", task=task, obj=parent_path, mask=mask,
-            args=(parent_path, OBJ, mask), dac=dac,
-        ))
+        decision = self.security_server.check(
+            "inode_permission", task, parent_path, (parent_path, OBJ, mask),
+            mask=mask, dac=dac)
         if not decision.allowed:
             raise decision.denial()
         if parent is None:
@@ -406,9 +398,10 @@ class SyscallMixin:
                 parent.entries[leaf] = created
                 # The name now resolves: drop any stale decisions about it.
                 self.generations.invalidate_path(target)
-                # A create is never cached. Its DAC check, write on
+                # A create is never cached: no DAC thunk, so no
+                # inode for a hit to return. Its DAC check, write on
                 # the parent, has passed; the modules still see it.
-                decision = self.security_server.decide(
+                decision = self.security_server.check(
                     "file_open", task, path, (path, created, flags),
                     mask=mask, deny_errno=Errno.EACCES, layer=LAYER_DAC)
                 if not decision.allowed:
@@ -421,11 +414,9 @@ class SyscallMixin:
                 raise SyscallError(Errno.EISDIR, path)
             return inode
 
-        decision = self.security_server.check(AccessRequest(
-            hook="file_open", task=task, obj=path, mask=mask,
-            args=(path, OBJ, flags), dac=dac,
-            deny_errno=Errno.EACCES,
-        ))
+        decision = self.security_server.check(
+            "file_open", task, path, (path, OBJ, flags), mask=mask, dac=dac,
+            deny_errno=Errno.EACCES)
         self._fuse(fp_key, decision, mask, path)
         if not decision.allowed:
             raise decision.denial()
@@ -848,7 +839,7 @@ class SyscallMixin:
             mountns.attach(mountpoint, fs)
             self.log_audit("mount.ns", task, f"{source} -> {mountpoint}")
             return
-        decision = self.security_server.decide(
+        decision = self.security_server.check(
             "sb_mount", task, mountpoint,
             (source, mountpoint, fstype, flags, options),
             capability=Capability.CAP_SYS_ADMIN, context=f"mount {source}")
@@ -867,7 +858,7 @@ class SyscallMixin:
             mountns.detach(mountpoint)
             self.log_audit("umount.ns", task, mountpoint)
             return
-        decision = self.security_server.decide(
+        decision = self.security_server.check(
             "sb_umount", task, mountpoint, (mountpoint,),
             capability=Capability.CAP_SYS_ADMIN)
         if not decision.allowed:
@@ -901,7 +892,7 @@ class SyscallMixin:
         self._enter(task, "setuid")
         if not 0 <= uid < _INVALID_ID:
             raise SyscallError(Errno.EINVAL, f"invalid uid {uid}")
-        decision = self.security_server.decide(
+        decision = self.security_server.check(
             "task_fix_setuid", task, f"uid:{uid}", (uid,),
             capability=Capability.CAP_SETUID,
             fallback=lambda: uid in (task.cred.ruid, task.cred.suid))
@@ -942,7 +933,7 @@ class SyscallMixin:
         self._enter(task, "setgid")
         if not 0 <= gid < _INVALID_ID:
             raise SyscallError(Errno.EINVAL, f"invalid gid {gid}")
-        decision = self.security_server.decide(
+        decision = self.security_server.check(
             "task_fix_setgid", task, f"gid:{gid}", (gid,),
             capability=Capability.CAP_SETGID,
             fallback=lambda: gid in (task.cred.rgid, task.cred.sgid))
@@ -1019,7 +1010,7 @@ class SyscallMixin:
             # attack the redteam battery drives.
             path = self.vfs.realpath(path)
 
-        decision = self.security_server.decide(
+        decision = self.security_server.check(
             "bprm_check", task, path, (path, inode, argv),
             deny_errno=Errno.EACCES)
         if not decision.allowed:
@@ -1176,12 +1167,10 @@ class SyscallMixin:
         in_netns = stack is not self.net
         unprivileged_raw = False
         if sock_type.requires_net_raw() and not in_netns:
-            decision = self.security_server.check(AccessRequest(
-                hook="socket_create", task=task,
-                obj=f"socket:{sock_type.value}/{protocol}",
-                args=(family.value, sock_type.value, protocol),
-                capability=Capability.CAP_NET_RAW,
-            ))
+            decision = self.security_server.check(
+                "socket_create", task, f"socket:{sock_type.value}/{protocol}",
+                (family.value, sock_type.value, protocol),
+                capability=Capability.CAP_NET_RAW)
             if not decision.allowed:
                 raise decision.denial()
             if decision.from_lsm:
@@ -1206,13 +1195,11 @@ class SyscallMixin:
         self._enter(task, "bind")
         stack = getattr(sock, "stack", self.net)
         if 0 < port < PRIVILEGED_PORT_MAX and stack is self.net:
-            decision = self.security_server.check(AccessRequest(
-                hook="socket_bind", task=task,
-                obj=f"port:{port}/{sock.protocol}", mask=port,
-                args=(sock, port),
+            decision = self.security_server.check(
+                "socket_bind", task, f"port:{port}/{sock.protocol}",
+                (sock, port), mask=port,
                 capability=Capability.CAP_NET_BIND_SERVICE,
-                deny_errno=Errno.EACCES,
-            ))
+                deny_errno=Errno.EACCES)
             if not decision.allowed:
                 if decision.from_lsm:
                     self.log_audit("bind.denied", task, f"port {port}")
@@ -1260,7 +1247,7 @@ class SyscallMixin:
     # ==================================================================
     def sys_ioctl(self, task: Task, device: Device, cmd: str, arg: object = None) -> object:
         self._enter(task, "ioctl")
-        decision = self.security_server.decide(
+        decision = self.security_server.check(
             "dev_ioctl", task, f"dev:{device.name}", (device, cmd, arg),
             context=cmd)
         if not decision.allowed:
@@ -1330,7 +1317,7 @@ class SyscallMixin:
                       gateway: str = "") -> None:
         self._enter(task, "route_add")
         route = Route(destination, device, gateway, added_by_uid=task.cred.ruid)
-        decision = self.security_server.decide(
+        decision = self.security_server.check(
             "route_add", task, f"route:{destination}", (destination, device),
             capability=Capability.CAP_NET_ADMIN, context=f"dev {device}")
         if not decision.allowed:

@@ -13,6 +13,7 @@ Covers the AVC-style behaviours the refactor introduced:
 """
 
 import dataclasses
+import functools
 
 import pytest
 
@@ -22,7 +23,7 @@ from repro.kernel import Kernel, modes
 from repro.kernel.capabilities import Capability
 from repro.kernel.errno import Errno, SyscallError
 from repro.kernel.lsm import HookResult, LSMChain, SecurityModule, deny_errno
-from repro.kernel.security import OBJ, AccessRequest, Decision
+from repro.kernel.security import OBJ, Decision
 
 
 @pytest.fixture
@@ -100,29 +101,32 @@ class TestDecisionCacheHits:
     def test_a_cached_decision_cannot_be_changed(self, kernel, root):
         kernel.write_file(root, "/etc/motd", b"x")
         server = kernel.security_server
-        request = AccessRequest(hook="file_open", task=root, obj="/etc/motd",
-                                mask=modes.R_OK, args=("/etc/motd", OBJ, 0))
-        first = server.check(request)
+        question = functools.partial(
+            server.check, "file_open", root, "/etc/motd",
+            ("/etc/motd", OBJ, 0), mask=modes.R_OK,
+            dac=lambda: kernel.vfs.lookup("/etc/motd", root.cred, modes.R_OK))
+        first = question()
         hits_before = server.stats.hits
-        served = server.check(request)
+        served = question()
         assert server.stats.hits == hits_before + 1
         assert served is first and served.fastpath_ok
+        assert served.value is kernel.vfs.resolve("/etc/motd")
         for field in Decision._fields:
             with pytest.raises(AttributeError):
                 setattr(served, field, None)
-        assert server.check(request) == first
+        assert question() == first
 
-    def test_capability_hits_skip_check_but_count_and_audit(
+    def test_capability_hits_are_checks_that_count_and_audit(
             self, kernel, alice, monkeypatch):
         server = kernel.security_server
         checks = []
         check = server.check
-        monkeypatch.setattr(server, "check",
-                            lambda req: checks.append(req) or check(req))
+        monkeypatch.setattr(server, "check", lambda hook, *args, **kwargs: (
+            checks.append(hook) or check(hook, *args, **kwargs)))
         assert not kernel.capable(alice, Capability.CAP_SYS_ADMIN)
         stats = dataclasses.replace(server.stats)
         assert not kernel.capable(alice, Capability.CAP_SYS_ADMIN)
-        assert len(checks) == 1
+        assert checks == ["capable", "capable"]
         assert (server.stats.lookups, server.stats.hits, server.stats.misses) \
             == (stats.lookups + 1, stats.hits + 1, stats.misses)
         miss, hit = server.audit.entries()[-2:]

@@ -1,15 +1,17 @@
 """Decisions the decision cache never holds, and transitions that change
 nothing.
 
-The security server answers the cacheable hooks through ``check`` and
-every other hook through ``decide``, straight from the hook's
-arguments. These tests pin that split from the outside:
+The security server answers every policy question through one call,
+``SecurityServer.check``, and holds only the answers its decision cache
+may keep. These tests pin that from the outside:
 
+* every question a syscall asks is one ``check`` call with the
+  syscall's own hook, cached or not (perfbench's tracer wraps
+  ``check`` alone and counts on it);
 * each never-cached syscall asks exactly one uncacheable question:
   ``kernel.avc.uncacheable`` moves by one, no decision-cache or fused
   entry names its hook, and the audit ring gets one ``cached=0`` row
   for it;
-* ``check`` refuses a hook it can never cache;
 * a setuid, setgid or setgroups that changes nothing keeps the task's
   credentials object, and with it the subject id, while a real
   transition still yields a new snapshot and a new id;
@@ -28,7 +30,7 @@ from repro.core import System, SystemMode
 from repro.kernel import modes
 from repro.kernel.errno import Errno, SyscallError
 from repro.kernel.lsm import HookResult, LSMChain, SecurityModule, SetuidDecision
-from repro.kernel.security import AccessRequest
+from repro.kernel.net.socket import AddressFamily, SocketType
 from repro.kernel.syscalls import NGROUPS_MAX
 
 MODES = [SystemMode.LINUX, SystemMode.PROTEGO]
@@ -102,13 +104,56 @@ def test_a_never_cached_question_is_asked_once_and_never_held(mode, name):
     assert len(rows) == 1 and not rows[0].cached
 
 
-def test_check_refuses_a_hook_it_never_caches():
-    system = System(SystemMode.PROTEGO)
-    root = system.root_session()
-    request = AccessRequest(hook="task_fix_setuid", task=root, obj="uid:0",
-                            args=(0,))
-    with pytest.raises(ValueError):
-        system.kernel.security_server.check(request)
+def _socket(kernel, root, alice):
+    return kernel.sys_socket(alice, AddressFamily.AF_INET, SocketType.STREAM)
+
+
+def _layered_open(kernel, root, alice, _):
+    kernel.fastpath.enabled = False
+    kernel.sys_open(alice, "/etc/fstab")
+
+
+#: The never-cached questions plus the cacheable ones a syscall asks.
+CHECKED = {
+    **QUESTIONS,
+    "access": ("inode_permission", None,
+               lambda k, root, alice, _: k.sys_access(
+                   alice, "/etc/fstab", modes.R_OK)),
+    "open": ("file_open", None, _layered_open),
+    "bind": ("socket_bind", _socket,
+             lambda k, root, alice, sock: k.sys_bind(
+                 alice, sock, "0.0.0.0", 80)),
+    "raw socket": ("socket_create", None,
+                   lambda k, root, alice, _: k.sys_socket(
+                       alice, AddressFamily.AF_INET, SocketType.RAW)),
+}
+
+#: Questions a syscall may ask besides its own: the capability its
+#: default policy falls back on, and the path walk of an exec or the
+#: parent-directory check of a create.
+_SUB_QUESTIONS = {"capable", "inode_permission"}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", sorted(CHECKED))
+def test_every_question_a_syscall_asks_goes_through_check(mode, name,
+                                                          monkeypatch):
+    hook, setup, op = CHECKED[name]
+    system = System(mode)
+    kernel = system.kernel
+    server = kernel.security_server
+    root, alice = system.root_session(), system.session_for("alice")
+    extra = setup(kernel, root, alice) if setup is not None else None
+    hooks = []
+    check = server.check
+    monkeypatch.setattr(server, "check", lambda hook, *args, **kwargs: (
+        hooks.append(hook) or check(hook, *args, **kwargs)))
+    try:
+        op(kernel, root, alice, extra)
+    except SyscallError:
+        pass
+    assert hooks.count(hook) == 1
+    assert set(hooks) <= {hook} | _SUB_QUESTIONS
 
 
 # ----------------------------------------------------------------------
