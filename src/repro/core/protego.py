@@ -169,12 +169,15 @@ class ProtegoLSM(SecurityModule):
     def _path_changed(self, path: str) -> None:
         """The hub's path fan-out. A mount, umount or rename at a
         protected path or above it can make that path name another
-        object, or none. A decision cached for an alias was vetted
-        against the old object, and no prefix invalidation reaches the
-        alias's name, so every cached decision is flushed (and, through
-        the policy bump, every fused verdict). One set probe per
+        object, or none; a link or rename that names an entry of
+        /etc/shadows makes a file a shadow entry under every name it
+        has. A decision cached for an alias was vetted against the old
+        object, and no prefix invalidation reaches the alias's name, so
+        every cached decision is flushed (and, through the policy bump,
+        every fused verdict). One set probe and one split per
         invalidation."""
-        if path in self._guarded:
+        if (path in self._guarded
+                or path.rpartition("/")[0] == SHADOW_FRAGMENT_DIR):
             self.flush_decisions()
 
     # ------------------------------------------------------------------

@@ -6,8 +6,10 @@ symlink or a hard link that an unprivileged user makes to a protected
 file therefore reaches the same rule as the file's configured name, and
 no decision about such an alias is cached or fused. A decision cached
 for an alias while the protected path named nothing does not outlive
-the mount, umount or rename that makes it name the file again. On stock
-Linux the same aliases are refused by DAC.
+the mount, umount or rename that makes it name the file again, and a
+decision cached for a file's name does not outlive the link or rename
+that makes the file an entry of ``/etc/shadows``. On stock Linux the
+same aliases are refused by DAC.
 """
 
 import posixpath
@@ -202,3 +204,37 @@ def test_a_runtime_protected_path_is_guarded_too():
     kernel.sys_rename(root, "/opt.old", "/opt")
     assert _outcome(kernel, alice, ALIAS) == denied
     assert _uncached_outcome(kernel, alice, ALIAS) == denied
+
+
+def _linked_into_shadows(kernel, root):
+    kernel.sys_link(root, "/w/f", "/etc/shadows/zed")
+
+
+def _renamed_into_shadows(kernel, root):
+    kernel.sys_rename(root, "/w/f", "/etc/shadows/zed")
+
+
+@pytest.mark.parametrize("name, change", [
+    ("/w/f", _linked_into_shadows),
+    ("/w/ln", _linked_into_shadows),
+    ("/w/h", _renamed_into_shadows),
+], ids=["link", "symlink alias", "rename"])
+def test_a_file_moved_into_the_shadows_is_not_served_under_its_other_names(
+        name, change):
+    system = System(SystemMode.PROTEGO)
+    kernel = system.kernel
+    root = system.root_session()
+    alice = system.session_for("alice")
+    kernel.sys_mkdir(root, "/w", 0o755)
+    kernel.write_file(root, "/w/f", b"zed:x:1:\n")
+    kernel.sys_chmod(root, "/w/f", 0o644)
+    kernel.sys_symlink(root, "/w/f", "/w/ln")
+    kernel.sys_link(root, "/w/f", "/w/h")
+    for _ in range(3):
+        assert _outcome(kernel, alice, name) == ("ok", b"zed:x:1:\n")
+    change(kernel, root)
+    # The file is a shadow entry now, under every name it has.
+    denied = ("err", Errno.EACCES, "protego:file_open")
+    for _ in range(2):
+        assert _uncached_outcome(kernel, alice, name) == denied
+        assert _outcome(kernel, alice, name) == denied
