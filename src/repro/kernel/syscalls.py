@@ -939,14 +939,13 @@ class SyscallMixin:
             fallback=lambda: gid in (task.cred.rgid, task.cred.sgid))
         if not decision.allowed:
             raise decision.denial()
-        if decision.from_lsm:
+        if decision.from_lsm or decision.layer == LAYER_CAPABILITY:
             task.cred = task.cred.with_gids(rgid=gid, egid=gid, sgid=gid)
             self.log_audit("setgid", task, f"-> {gid}")
             return
-        if decision.layer == LAYER_CAPABILITY:
-            task.cred = task.cred.with_gids(rgid=gid, egid=gid, sgid=gid)
-            return
+        # Identity fallback: gid is the task's own rgid/sgid.
         task.cred = task.cred.with_gids(egid=gid)
+        self.log_audit("setgid", task, f"egid -> {gid}")
 
     def sys_setgroups(self, task: Task, groups: Sequence[int]) -> None:
         self._enter(task, "setgroups")

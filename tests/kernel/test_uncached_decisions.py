@@ -19,7 +19,9 @@ may keep. These tests pin that from the outside:
 * setuid, setgid and setgroups refuse an invalid id with EINVAL before
   any policy is asked, as Linux's ``uid_valid``/``gid_valid`` do;
 * setgroups refuses a list longer than ``NGROUPS_MAX`` with EINVAL,
-  after the privilege check and before it reads a gid.
+  after the privilege check and before it reads a gid;
+* an allowed setgid writes a kernel audit event on the capability and
+  the identity-fallback paths, worded as setuid's.
 """
 
 import dataclasses
@@ -333,3 +335,23 @@ def test_the_largest_valid_id_is_accepted(mode):
     system.kernel.sys_setgid(root, 2**32 - 2)
     system.kernel.sys_setuid(root, 2**32 - 2)
     assert (root.cred.ruid, root.cred.rgid) == (2**32 - 2, 2**32 - 2)
+
+
+# ----------------------------------------------------------------------
+# Allowed transitions are audited
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("who, call, event", [
+    ("root", "setgid", ("setgid", "-> 1000")),
+    ("alice", "setgid", ("setgid", "egid -> 1000")),
+    ("root", "setuid", ("setuid", "-> 1000")),
+], ids=["capability setgid", "identity setgid", "capability setuid"])
+def test_an_allowed_setuid_or_setgid_writes_an_audit_event(mode, who, call,
+                                                           event):
+    system = System(mode)
+    kernel = system.kernel
+    task = system.root_session() if who == "root" else system.session_for(who)
+    events = len(kernel.audit_events())
+    getattr(kernel, f"sys_{call}")(task, 1000)
+    assert [(r.event, r.detail) for r in kernel.audit_events()[events:]] \
+        == [event]
