@@ -218,7 +218,12 @@ def _measure(op):
     """Interleaved best-of-batches: guarded (disarmed) vs unguarded."""
     guarded_us, unguarded_us = [], []
     per_pass = max(50, ITERATIONS // BATCHES)
-    op()  # warm
+    # Warm with one untimed pass, not one call: after the clone check
+    # ran the clones, a one-call warm-up left the guarded warm-stat
+    # pass about 7 points slower than its clone (+5% against -2%, six
+    # runs each at scale 0.1 on a 2-core host under Python 3.11),
+    # although no guard lies on that path.
+    _time_pass(op, per_pass)
     for _ in range(BATCHES):
         guarded_us.append(_time_pass(op, per_pass))
         with _patched():
