@@ -116,7 +116,7 @@ class TestDecisionCacheHits:
                 setattr(served, field, None)
         assert question() == first
 
-    def test_capability_hits_are_checks_that_count_and_audit(
+    def test_capability_hits_count_and_audit(
             self, kernel, alice, monkeypatch):
         server = kernel.security_server
         checks = []
