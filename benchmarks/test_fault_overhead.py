@@ -102,7 +102,7 @@ def _check_unguarded(self, hook, task, obj, args=(), *, mask=0, dac=None,
         except SyscallError as exc:
             outcome = self._deny(hook, LAYER_DAC, exc.errno_value,
                                  exc.context or context)
-        args = tuple([value if arg is OBJ else arg for arg in args])
+        args = tuple(value if arg is OBJ else arg for arg in args)
     if outcome is None:
         outcome = self._compose(hook, task, args, capability, fallback,
                                 deny_errno, context, layer)
