@@ -31,8 +31,15 @@ from repro.core import System, SystemMode
 from repro.kernel import modes
 from repro.kernel.dcache import MAX_CREDS, MAX_ENTRIES, DentryCache
 from repro.kernel.errno import Errno, SyscallError
-from repro.kernel.security import LAYER_DAC, LAYER_DEFAULT, OBJ, Decision
+from repro.kernel.security import (
+    LAYER_DAC,
+    LAYER_DEFAULT,
+    OBJ,
+    Decision,
+    Verdict,
+)
 from repro.kernel.security.server import (
+    _ERRNO_NAMES,
     _FASTPATH_UNCACHEABLE_ERRNOS,
     _PATH_HOOKS,
     _UNCACHEABLE_ERRNOS,
@@ -88,7 +95,9 @@ def _check_unguarded(self, hook, task, obj, args=(), *, mask=0, dac=None,
         hit = self._cache.get(key)
         if hit is not None:
             stats.hits += 1
-            self._record(task, hook, obj, mask, hit, True)
+            cred = task.cred
+            self.audit.record_fused(self.kernel.clock, task.pid, cred.ruid,
+                                    cred.euid, hit.audit_suffix)
             return hit
         stats.misses += 1
     else:
@@ -107,13 +116,22 @@ def _check_unguarded(self, hook, task, obj, args=(), *, mask=0, dac=None,
         outcome = self._compose(hook, task, args, capability, fallback,
                                 deny_errno, context, layer)
     verdict, layer, errno, context, lsm_module, pending = outcome
+    allowed = verdict is Verdict.ALLOW
+    verdict_name = "allow" if allowed else "deny"
+    errno_name = _ERRNO_NAMES[errno]
     cache_ok = key is not None and self.lsm.cache_ok(hook, task, *args)
-    decision = Decision(
+    decision = tuple.__new__(Decision, (
         verdict, layer, hook, obj, errno, context, lsm_module, pending,
-        value, cache_ok and errno not in _FASTPATH_UNCACHEABLE_ERRNOS)
+        value, cache_ok and errno not in _FASTPATH_UNCACHEABLE_ERRNOS,
+        allowed, lsm_module is not None,
+        (hook, obj, mask, verdict_name, layer, True, errno_name, context)
+        if cache_ok else None))
     if cache_ok and errno not in _UNCACHEABLE_ERRNOS:
         self._cache.put(key, decision)
-    self._record(task, hook, obj, mask, decision, False)
+    cred = task.cred
+    self.audit.record((
+        self.kernel.clock, task.pid, cred.ruid, cred.euid, hook, obj,
+        mask, verdict_name, layer, False, errno_name, context))
     return decision
 
 

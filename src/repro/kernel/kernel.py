@@ -4,15 +4,20 @@ A :class:`Kernel` is one simulated machine. Provisioning (users,
 /etc files, installed binaries, devices, the security mode) is done by
 :class:`repro.core.system.System`, which is the public entry point;
 the Kernel itself is the mechanism layer.
+
+Besides the reference monitor's decision ring, the kernel keeps an
+event log (``Kernel.audit``, read through :meth:`Kernel.audit_events`):
+one :class:`AuditRecord` tuple per mount, setuid, exec, bind, ...,
+built with ``tuple.__new__`` because the paper's hooked syscalls log
+one on every allowed call.
 """
 
 from __future__ import annotations
 
 import collections
-import dataclasses
 import itertools
 import posixpath
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, NamedTuple, Optional
 
 from repro.kernel.cred import Credentials
 from repro.kernel.devices import DeviceRegistry
@@ -44,9 +49,10 @@ from repro.kernel.task import Task
 from repro.kernel.vfs import VFS, normalize
 
 
-@dataclasses.dataclass
-class AuditRecord:
-    """One audit log entry."""
+class AuditRecord(NamedTuple):
+    """One audit log entry. A tuple record: the log holds up to 20,000
+    of them, and a dataclass instance cost about a third more memory
+    and a Python ``__init__`` frame per event."""
 
     clock: int
     event: str
@@ -54,6 +60,11 @@ class AuditRecord:
     uid: int
     euid: int
     detail: str
+
+
+#: Bare tuple construction for :class:`AuditRecord` (skips the
+#: generated NamedTuple ``__new__`` frame).
+_RECORD_NEW = tuple.__new__
 
 
 class Kernel(SyscallMixin):
@@ -84,7 +95,7 @@ class Kernel(SyscallMixin):
         # /proc/protego/audit. One generations.invalidate_path() per
         # mutation reaches its decision cache, the dentry cache and the
         # fused table through the hub's path fan-out.
-        self.security_server = SecurityServer(self.lsm, clock_fn=self.now,
+        self.security_server = SecurityServer(self.lsm, self,
                                               generations=self.generations)
         # Bound-method shortcut for the fused open(2) hit path: the
         # ring is created once and never replaced, so the three
@@ -189,10 +200,9 @@ class Kernel(SyscallMixin):
         return self.clock
 
     def log_audit(self, event: str, task: Task, detail: str = "") -> None:
-        self.audit.append(
-            AuditRecord(self.clock, event, task.pid, task.cred.ruid,
-                        task.cred.euid, detail)
-        )
+        cred = task.cred
+        self.audit.append(_RECORD_NEW(AuditRecord, (
+            self.clock, event, task.pid, cred.ruid, cred.euid, detail)))
 
     def audit_events(self, event_prefix: str = "") -> List[AuditRecord]:
         return [r for r in self.audit if r.event.startswith(event_prefix)]

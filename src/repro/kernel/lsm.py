@@ -13,8 +13,12 @@ socket, bind, ioctl, exec validation for setuid-on-exec).
 Two refactor-era properties matter to callers:
 
 * the chain keeps a **hook registry** — at registration time each
-  module is indexed by the hooks it actually overrides, so a call
-  only visits interested modules;
+  module's overriding hooks are bound once, as per-hook
+  ``(module name, bound hook)`` lists, so a call only visits
+  interested modules and looks nothing up per module. A hook method
+  replaced on a module's class after the module registered is
+  therefore not seen: the chain keeps calling the method it bound
+  (a tracer wrapping hook methods installs before any kernel boots);
 * decision hooks **short-circuit on the first DENY** and report the
   deciding module's name, so the security server can attribute every
   denial (``apparmor:file_open``, ``protego:socket_bind``).
@@ -28,7 +32,8 @@ so the passthrough, allow and deny answers are shared constants.
 from __future__ import annotations
 
 import enum
-from typing import Any, List, NamedTuple, Optional, Tuple, TYPE_CHECKING
+from typing import (Any, Callable, Dict, List, NamedTuple, Optional, Tuple,
+                    TYPE_CHECKING)
 
 from repro.kernel.capabilities import Capability
 from repro.kernel.errno import Errno, SyscallError
@@ -213,24 +218,25 @@ class LSMChain:
 
     def __init__(self, modules: Optional[List[SecurityModule]] = None):
         self.modules: List[SecurityModule] = []
-        self._registry: dict = {}
+        #: hook -> ``(module name, bound hook)`` of every registered
+        #: module that overrides it, in registration order.
+        self._hooks: Dict[str, List[Tuple[str, Callable]]] = {
+            hook: [] for hook in _ALL_HOOKS}
         for module in modules or []:
             self.register(module)
 
     def register(self, module: SecurityModule) -> None:
+        """Append *module* to the chain, binding each hook it
+        overrides once: later calls go straight to the bound method."""
         self.modules.append(module)
         for hook in _ALL_HOOKS:
             if self._overrides(module, hook):
-                self._registry.setdefault(hook, []).append(module)
+                self._hooks[hook].append((module.name, getattr(module, hook)))
 
     @staticmethod
     def _overrides(module: SecurityModule, hook: str) -> bool:
         impl = getattr(type(module), hook, None)
         return impl is not None and impl is not getattr(SecurityModule, hook)
-
-    def hook_modules(self, hook: str) -> List[SecurityModule]:
-        """The registered modules that actually implement *hook*."""
-        return self._registry.get(hook, [])
 
     def find(self, name: str) -> Optional[SecurityModule]:
         for module in self.modules:
@@ -245,12 +251,12 @@ class LSMChain:
         so a denial cannot trigger another module's side effects
         (authentication prompts, log writes)."""
         allow_module: Optional[str] = None
-        for module in self.hook_modules(hook):
-            result = getattr(module, hook)(*args)
+        for name, bound in self._hooks[hook]:
+            result = bound(*args)
             if result is HookResult.DENY:
-                return HookResult.DENY, module.name
+                return HookResult.DENY, name
             if result is HookResult.ALLOW and allow_module is None:
-                allow_module = module.name
+                allow_module = name
         if allow_module is not None:
             return HookResult.ALLOW, allow_module
         return HookResult.PASS, None
@@ -265,12 +271,12 @@ class LSMChain:
         otherwise the last ALLOW, whose ``pending`` transition (if
         any) the caller parks."""
         decision, decider = _SETUID_PASS, None
-        for module in self.hook_modules(hook):
-            this = getattr(module, hook)(task, target)
+        for name, bound in self._hooks[hook]:
+            this = bound(task, target)
             if this.result is HookResult.DENY:
-                return this, module.name
+                return this, name
             if this.result is HookResult.ALLOW:
-                decision, decider = this, module.name
+                decision, decider = this, name
         return decision, decider
 
     def cache_ok(self, hook: str, task: "Task", *args: Any) -> bool:
@@ -279,14 +285,14 @@ class LSMChain:
         veto keeps the decision out of the cache, so lookups never pay
         for this call — which means a module whose veto set changes at
         runtime must invalidate or flush when it does."""
-        for module in self.hook_modules(CACHE_VETO_HOOK):
-            if not module.decision_cacheable(hook, task, *args):
+        for _name, veto in self._hooks[CACHE_VETO_HOOK]:
+            if not veto(hook, task, *args):
                 return False
         return True
 
     def notify(self, hook: str, *args: Any) -> None:
-        for module in self.hook_modules(hook):
-            getattr(module, hook)(*args)
+        for _name, bound in self._hooks[hook]:
+            bound(*args)
 
 
 def deny_errno(module: str, hook: str, detail: str = "") -> SyscallError:

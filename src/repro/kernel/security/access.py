@@ -17,7 +17,12 @@ syscall's outcome.
 A :class:`Decision` is an immutable tuple record: the decision cache
 hands the same object to every later asker, so nothing may change it
 after the server builds it, and every uncached question builds one per
-call, where a frozen dataclass cost several times a tuple.
+call, where a frozen dataclass cost several times a tuple. It carries
+its derived facts as fields, computed once where the server builds
+it: ``allowed``, ``from_lsm`` and, for a decision a cache may hold,
+``audit_suffix``, the tail of the audit row every later hit replays.
+The server builds it with ``tuple.__new__``, skipping the generated
+``__new__``, and nothing else builds one.
 """
 
 from __future__ import annotations
@@ -58,34 +63,39 @@ class Decision(NamedTuple):
 
     A tuple record, so no field can be assigned once it is built:
     cached decisions are shared by every task in the subject's
-    context.
+    context. The last three fields are derived from the others when
+    the server builds the record, so a reader pays a field load, not
+    a property call: the syscall layer reads ``allowed`` on every
+    question and ``from_lsm`` on most of the paper's hooked ones.
     """
 
     verdict: Verdict
     layer: str
     hook: str
     obj: str
-    errno: Optional[Errno] = None
-    context: str = ""
-    lsm_module: Optional[str] = None
-    pending: Any = None
-    value: Any = None
+    errno: Optional[Errno]
+    context: str
+    lsm_module: Optional[str]
+    pending: Any
+    value: Any
     #: True when the security server built this verdict as one that
     #: may be memoized in the fused fast-path table: the hook is
     #: cacheable, no module vetoed caching (complain mode,
     #: recency-dependent rules), and the errno is not walk-shaped
     #: (ENOTDIR/ELOOP). The syscall layer additionally requires a
     #: cached dentry before fusing.
-    fastpath_ok: bool = False
-
-    @property
-    def allowed(self) -> bool:
-        return self.verdict is Verdict.ALLOW
-
-    @property
-    def from_lsm(self) -> bool:
-        """Did a security module (not DAC/capability) decide this?"""
-        return self.lsm_module is not None
+    fastpath_ok: bool
+    #: ``verdict is Verdict.ALLOW``.
+    allowed: bool
+    #: Did a security module (not DAC/capability) decide this?
+    #: ``lsm_module is not None``.
+    from_lsm: bool
+    #: For a decision a cache may hold (no module vetoed caching):
+    #: the audit row's ``(hook, obj, mask, verdict, layer, cached,
+    #: errno, context)`` tail with ``cached`` set, which a decision-
+    #: cache hit and a fused-table hit replay behind a fresh
+    #: ``(clock, pid, uid, euid)`` prefix. None otherwise.
+    audit_suffix: Optional[tuple]
 
     def denial(self) -> SyscallError:
         """The error a denied syscall raises: errno plus a

@@ -6,6 +6,14 @@ recording subject, object, hook, verdict, and the deciding layer.
 The ring is exposed to userspace through ``/proc/protego/audit``
 (one line per record, newest last), so an administrator can replay
 recent policy decisions without any kernel debugging interface.
+
+A freshly computed decision is recorded whole (:meth:`AuditRing.record`).
+A cache hit, whether the decision cache or the fused fast-path table
+served it, replays the row tail its decision was built with
+(``Decision.audit_suffix``) behind a fresh ``(clock, pid, uid, euid)``
+prefix (:meth:`AuditRing.record_fused`), so a miss and every later
+hit of one question write rows that differ only in ``seq``, ``clock``
+and ``cached``.
 """
 
 from __future__ import annotations
@@ -100,10 +108,12 @@ class AuditRing:
 
     def record_fused(self, clock: int, pid: int, ruid: int, euid: int,
                      suffix: tuple) -> None:
-        """:meth:`record` for a fused fast-path hit: the fresh prefix
-        arrives as scalars so the row is assembled in one concat, not
-        two — this runs on every warm fused open(2). Same fail-closed
-        rules; the verdict sits at ``suffix[3]``."""
+        """:meth:`record` for a cache hit, decision cache or fused
+        table: the fresh prefix arrives as scalars so the row is
+        assembled in one concat, not two — this runs on every warm
+        fused open(2) and every decision-cache hit. *suffix* is the
+        hit decision's ``audit_suffix``. Same fail-closed rules; the
+        verdict sits at ``suffix[3]``."""
         self._seq += 1
         if self.fault_site.armed and self.fault_site.should_fail():
             if suffix[3] != "deny":

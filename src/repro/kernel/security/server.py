@@ -23,7 +23,11 @@ keys do. Invalidation is explicit:
   write, or a monitoring-daemon fstab/sudoers/bind sync.
 
 Every decision — hit or miss — is appended to the bounded audit ring
-surfaced at ``/proc/protego/audit``.
+surfaced at ``/proc/protego/audit``. A hit replays the row tail its
+decision carries (``Decision.audit_suffix``) through
+:meth:`AuditRing.record_fused`, the call and the tail a fused-table
+hit replays too; a miss writes its row inline, stamped from the
+kernel's ``clock`` attribute.
 
 One entry point, :meth:`SecurityServer.check`, answers every question
 from its arguments: the hook, the asking task, the object's identity,
@@ -35,8 +39,9 @@ its DAC thunk, whose value (the resolved inode) a later hit returns.
 Every other question — setuid, setgid, mount, umount, ioctl, exec
 validation, route add, create-time opens — is composed afresh and
 counted as ``uncacheable``. Hit or miss, a decision is one tuple
-record, built once with its ``fastpath_ok`` flag already set, and one
-audit row written by :meth:`SecurityServer._record`.
+record, built once with every derived field (``fastpath_ok``,
+``allowed``, ``from_lsm``, ``audit_suffix``) already set, and one
+audit row.
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ from repro.kernel.security.access import (
 from repro.kernel.security.audit import AuditRing
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.kernel.kernel import Kernel
     from repro.kernel.task import Task
 
 #: Hooks whose decisions are pure functions of (credentials, object,
@@ -100,6 +106,15 @@ _CAP_OBJ = {cap: f"cap:{cap.name}" for cap in Capability}
 #: ``(verdict, layer, errno, context, lsm_module, pending)``.
 _Outcome = Tuple[Verdict, str, Optional[Errno], str, Optional[str], Any]
 
+#: Bare tuple construction for :class:`Decision`, as the syscall layer
+#: builds its stat(2) results: the generated NamedTuple ``__new__`` is
+#: a Python frame per decision, and the never-cached hooks build one on
+#: every call.
+_DECISION_NEW = tuple.__new__
+
+#: The audit row's errno column: the errno's name, empty for none.
+_ERRNO_NAMES = {None: "", **{errno: errno.name for errno in Errno}}
+
 #: Decision-cache capacity (FIFO) and audit-ring capacity.
 CACHE_SIZE = 2048
 AUDIT_SIZE = 4096
@@ -129,11 +144,13 @@ class SecurityServer:
     def __init__(
         self,
         lsm: LSMChain,
-        clock_fn: Optional[Callable[[], int]] = None,
+        kernel: "Kernel",
         generations: Optional[GenerationHub] = None,
     ):
         self.lsm = lsm
-        self._clock = clock_fn or (lambda: 0)
+        #: Whose ``clock`` attribute stamps each audit row, read
+        #: directly on every decision instead of through a callback.
+        self.kernel = kernel
         self.cache_enabled = True
         self._cache = PathCache(CACHE_SIZE)
         #: Subject ids come from the shared generation hub, so the
@@ -184,7 +201,12 @@ class SecurityServer:
             hit = self._cache.get(key)
             if hit is not None:
                 stats.hits += 1
-                self._record(task, hook, obj, mask, hit, True)
+                # The row a fused-table hit writes too: a fresh prefix
+                # behind the tail the decision was built with.
+                cred = task.cred
+                self.audit.record_fused(self.kernel.clock, task.pid,
+                                        cred.ruid, cred.euid,
+                                        hit.audit_suffix)
                 return hit
             stats.misses += 1
         else:
@@ -203,6 +225,9 @@ class SecurityServer:
             outcome = self._compose(hook, task, args, capability, fallback,
                                     deny_errno, context, layer)
         verdict, layer, errno, context, lsm_module, pending = outcome
+        allowed = verdict is Verdict.ALLOW
+        verdict_name = "allow" if allowed else "deny"
+        errno_name = _ERRNO_NAMES[errno]
         # The module cacheability veto runs at insert time only: a
         # vetoed decision is never inserted, so no hit can ever serve
         # it, and hits stay a pure dict probe. It sees the hook's own
@@ -212,25 +237,32 @@ class SecurityServer:
         cache_ok = key is not None and self.lsm.cache_ok(hook, task, *args)
         # The same veto governs the fused fast path: a decision no
         # module objects to memoizing may be fused upstream (the
-        # syscall layer still requires a cached dentry). The flag is
-        # part of the cached decision, so a hit replays it.
-        decision = Decision(
+        # syscall layer still requires a cached dentry). The flag and
+        # the hit row's tail are part of the cached decision, so a hit
+        # replays them.
+        decision = _DECISION_NEW(Decision, (
             verdict, layer, hook, obj, errno, context, lsm_module, pending,
-            value, cache_ok and errno not in _FASTPATH_UNCACHEABLE_ERRNOS)
+            value, cache_ok and errno not in _FASTPATH_UNCACHEABLE_ERRNOS,
+            allowed, lsm_module is not None,
+            (hook, obj, mask, verdict_name, layer, True, errno_name, context)
+            if cache_ok else None))
         if cache_ok and errno not in _UNCACHEABLE_ERRNOS:
             if self.fault_site.armed and self.fault_site.should_fail(hook):
                 stats.alloc_failures += 1
             else:
                 self._cache.put(key, decision)
-        self._record(task, hook, obj, mask, decision, False)
+        # The miss row: AuditEntry field order minus seq.
+        cred = task.cred
+        self.audit.record((
+            self.kernel.clock, task.pid, cred.ruid, cred.euid, hook, obj,
+            mask, verdict_name, layer, False, errno_name, context))
         return decision
 
     def capable(self, task: "Task", cap: Capability, context: str = "") -> bool:
         """The kernel's single capability funnel, as a cached, audited
         decision (LSM ``capable`` hook may veto or grant)."""
         return self.check("capable", task, _CAP_OBJ[cap], (cap,),
-                          capability=cap, context=context).verdict \
-            is Verdict.ALLOW
+                          capability=cap, context=context).allowed
 
     # ------------------------------------------------------------------
     # Composition: LSM chain -> capability -> identity fallback
@@ -240,9 +272,10 @@ class SecurityServer:
                  fallback: Optional[Callable[[], bool]], deny_errno: Errno,
                  context: str, layer: str) -> _Outcome:
         """Compose the layers after DAC for one question. Returns the
-        decision's fields other than ``hook``, ``obj``, ``value`` and
-        ``fastpath_ok``, which the caller adds when it builds the one
-        :class:`Decision`. *layer* is credited when nobody decides."""
+        decision's own fields other than ``hook``, ``obj`` and
+        ``value``, which the caller adds with the derived ones when it
+        builds the one :class:`Decision`. *layer* is credited when
+        nobody decides."""
         pending = None
         if hook in _SETUID_HOOKS:
             setuid_decision, module = self.lsm.call_setuid(hook, task, args[0])
@@ -304,18 +337,6 @@ class SecurityServer:
     def notify(self, hook: str, *args: Any) -> None:
         """Side-effect-only hooks (task_alloc, bprm_committing_creds)."""
         self.lsm.notify(hook, *args)
-
-    def _record(self, task: "Task", hook: str, obj: str, mask: int,
-                decision: Decision, cached: bool) -> None:
-        # Positional row matching AuditEntry field order (minus seq) —
-        # this runs on every cache hit, so no dataclass construction.
-        cred = task.cred
-        self.audit.record((
-            self._clock(), task.pid, cred.ruid, cred.euid, hook, obj, mask,
-            decision.verdict.value, decision.layer, cached,
-            decision.errno.name if decision.errno is not None else "",
-            decision.context,
-        ))
 
     def render_audit(self, last: Optional[int] = None) -> str:
         return self.audit.render(last)

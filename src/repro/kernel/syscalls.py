@@ -173,25 +173,20 @@ class SyscallMixin:
         self._audit_fused(self.clock, task.pid, cred.ruid, cred.euid,
                           suffix)
 
-    def _fuse(self, fp_key: Optional[Tuple], decision, mask: int,
-              path: str) -> None:
+    def _fuse(self, fp_key: Optional[Tuple], decision, path: str) -> None:
         """Memoize a layered verdict in the fused table when every
         layer agrees it is safe: the security server reported
         ``fastpath_ok`` (cacheable hook, no module veto, no walk-shaped
         errno) and the walk left a dentry behind (so prefix
-        invalidation covers everything the verdict depends on)."""
+        invalidation covers everything the verdict depends on). The
+        entry replays the decision's own ``audit_suffix``, the row
+        tail a decision-cache hit replays too."""
         if fp_key is None or not decision.fastpath_ok:
             return
         if not self.vfs.walk_cached(path):
             return
-        suffix = (
-            decision.hook, decision.obj, mask,
-            decision.verdict.value, decision.layer, True,
-            decision.errno.name if decision.errno is not None else "",
-            decision.context,
-        )
         self.fastpath.put(fp_key, decision.value, decision.errno,
-                          decision.context, suffix)
+                          decision.context, decision.audit_suffix)
 
     # ==================================================================
     # Capability check (single funnel through the reference monitor)
@@ -233,7 +228,7 @@ class SyscallMixin:
         decision = self.security_server.check(
             "inode_permission", task, path, (path, OBJ, mask), mask=mask,
             dac=lambda: self.vfs.lookup(path, task.cred, mask))
-        self._fuse(fp_key, decision, mask, path)
+        self._fuse(fp_key, decision, path)
         if not decision.allowed:
             raise decision.denial()
         return decision.value
@@ -286,6 +281,30 @@ class SyscallMixin:
             if (task.cred.fsuid not in (victim.uid, parent.uid)
                     and not self.capable(task, Capability.CAP_FOWNER)):
                 raise SyscallError(Errno.EACCES, f"sticky dir protects {path}")
+
+    def _announce(self, path: str, canonical: bool,
+                  follow: bool = False) -> None:
+        """Announce that a write changed *path* (the hub's path fan-out
+        drops it and everything beneath it) and, when the write was
+        spelled through a symlink, the name *path* resolves to: a walk
+        that crosses a symlink caches nothing, so the caches hold what
+        they know about the object under its symlink-free name.
+        *canonical* says the walk is known to be symlink-free, and
+        nothing more is walked: a :meth:`VFS.probe` hit for a write to
+        an entry of the parent (create, mkdir, unlink, rmdir, rename,
+        link, symlink); with *follow*, for a write to the object itself
+        (chmod, chown), the dentry its lookup left behind."""
+        generations = self.generations
+        generations.invalidate_path(path)
+        if canonical:
+            return
+        if follow:
+            resolved = self.vfs.realpath(path)
+        else:
+            parent, leaf = posixpath.split(path)
+            resolved = posixpath.join(self.vfs.realpath(parent), leaf)
+        if resolved != path:
+            generations.invalidate_path(resolved)
 
     # ==================================================================
     # Files
@@ -397,7 +416,7 @@ class SyscallMixin:
                 )
                 parent.entries[leaf] = created
                 # The name now resolves: drop any stale decisions about it.
-                self.generations.invalidate_path(target)
+                self._announce(target, probe is not None)
                 # A create is never cached: no DAC thunk, so no
                 # inode for a hit to return. Its DAC check, write on
                 # the parent, has passed; the modules still see it.
@@ -417,7 +436,7 @@ class SyscallMixin:
         decision = self.security_server.check(
             "file_open", task, path, (path, OBJ, flags), mask=mask, dac=dac,
             deny_errno=Errno.EACCES)
-        self._fuse(fp_key, decision, mask, path)
+        self._fuse(fp_key, decision, path)
         if not decision.allowed:
             raise decision.denial()
         return self._install_open_file(task, decision.value, flags, path)
@@ -591,7 +610,7 @@ class SyscallMixin:
             raise SyscallError(Errno.EEXIST, path)
         made = make_dir(uid=task.cred.fsuid, gid=task.cred.fsgid, perm=mode)
         parent.entries[leaf] = made
-        self.generations.invalidate_path(path)
+        self._announce(path, probe is not None)
         if probe is not None:
             # Every create inside the new directory probes its dentry
             # next. Files are not instantiated: few are walked again.
@@ -600,24 +619,24 @@ class SyscallMixin:
     def sys_unlink(self, task: Task, path: str) -> None:
         self._enter(task, "unlink")
         path = self._resolve_at(task, path)
-        parent, leaf = self._dir_write_permission(
-            task, path, self.vfs.probe(path))
+        probe = self.vfs.probe(path)
+        parent, leaf = self._dir_write_permission(task, path, probe)
         victim = parent.lookup(leaf)
         if victim.is_dir():
             raise SyscallError(Errno.EISDIR, path)
         self._check_sticky(task, parent, victim, path)
         parent.unlink(leaf)
-        self.generations.invalidate_path(path)
+        self._announce(path, probe is not None)
 
     def sys_symlink(self, task: Task, target: str, linkpath: str) -> None:
         self._enter(task, "symlink")
         linkpath = self._resolve_at(task, linkpath)
-        parent, leaf = self._dir_write_permission(
-            task, linkpath, self.vfs.probe(linkpath))
+        probe = self.vfs.probe(linkpath)
+        parent, leaf = self._dir_write_permission(task, linkpath, probe)
         if leaf in parent.entries:
             raise SyscallError(Errno.EEXIST, linkpath)
         parent.entries[leaf] = make_symlink(target, uid=task.cred.fsuid, gid=task.cred.fsgid)
-        self.generations.invalidate_path(linkpath)
+        self._announce(linkpath, probe is not None)
 
     def sys_chmod(self, task: Task, path: str, mode: int) -> None:
         self._enter(task, "chmod")
@@ -632,7 +651,7 @@ class SyscallMixin:
         # object (and, for a directory, every walk through it) is
         # stale; the generation bump orphans the dcache permission
         # entries, the hub's path fan-out drops the path-keyed ones.
-        self.generations.invalidate_path(path)
+        self._announce(path, self.vfs.walk_cached(path), follow=True)
 
     def sys_chown(self, task: Task, path: str, uid: int, gid: int = -1) -> None:
         self._enter(task, "chown")
@@ -654,7 +673,7 @@ class SyscallMixin:
             inode.gid = gid
         inode.mtime += 1
         inode.generation += 1
-        self.generations.invalidate_path(path)
+        self._announce(path, self.vfs.walk_cached(path), follow=True)
 
     def sys_link(self, task: Task, target: str, linkpath: str) -> None:
         """Hard link: same inode, another name; nlink bookkeeping."""
@@ -664,10 +683,10 @@ class SyscallMixin:
         inode = self.vfs.lookup(target, task.cred)
         if inode.is_dir():
             raise SyscallError(Errno.EISDIR, target)
-        parent, leaf = self._dir_write_permission(
-            task, linkpath, self.vfs.probe(linkpath))
+        probe = self.vfs.probe(linkpath)
+        parent, leaf = self._dir_write_permission(task, linkpath, probe)
         parent.link(leaf, inode)
-        self.generations.invalidate_path(linkpath)
+        self._announce(linkpath, probe is not None)
 
     def sys_rename(self, task: Task, old_path: str, new_path: str) -> None:
         """rename(2); both parents need write permission; an existing
@@ -679,10 +698,12 @@ class SyscallMixin:
         vfs = self.vfs
         old_path = self._resolve_at(task, old_path)
         new_path = self._resolve_at(task, new_path)
+        old_probe = vfs.probe(old_path)
         old_parent, old_leaf = self._dir_write_permission(
-            task, old_path, vfs.probe(old_path))
+            task, old_path, old_probe)
+        new_probe = vfs.probe(new_path)
         new_parent, new_leaf = self._dir_write_permission(
-            task, new_path, vfs.probe(new_path))
+            task, new_path, new_probe)
         inode = old_parent.lookup(old_leaf)
         if inode.is_dir():
             # Compared as resolved names, so a symlinked spelling of
@@ -706,14 +727,14 @@ class SyscallMixin:
             new_parent.unlink(new_leaf)
         old_parent.unlink(old_leaf)
         new_parent.link(new_leaf, inode)
-        self.generations.invalidate_path(old_path)
-        self.generations.invalidate_path(new_path)
+        self._announce(old_path, old_probe is not None)
+        self._announce(new_path, new_probe is not None)
 
     def sys_rmdir(self, task: Task, path: str) -> None:
         self._enter(task, "rmdir")
         path = self._resolve_at(task, path)
-        parent, leaf = self._dir_write_permission(
-            task, path, self.vfs.probe(path))
+        probe = self.vfs.probe(path)
+        parent, leaf = self._dir_write_permission(task, path, probe)
         victim = parent.lookup(leaf)
         if not victim.is_dir():
             raise SyscallError(Errno.ENOTDIR, path)
@@ -723,7 +744,7 @@ class SyscallMixin:
         if self.vfs.mount_at(path) is not None:
             raise SyscallError(Errno.EBUSY, path)
         parent.unlink(leaf)
-        self.generations.invalidate_path(path)
+        self._announce(path, probe is not None)
 
     def sys_readdir(self, task: Task, path: str) -> List[str]:
         self._enter(task, "readdir")
