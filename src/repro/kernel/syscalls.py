@@ -282,29 +282,34 @@ class SyscallMixin:
                     and not self.capable(task, Capability.CAP_FOWNER)):
                 raise SyscallError(Errno.EACCES, f"sticky dir protects {path}")
 
-    def _announce(self, path: str, canonical: bool,
-                  follow: bool = False) -> None:
-        """Announce that a write changed *path* (the hub's path fan-out
-        drops it and everything beneath it) and, when the write was
-        spelled through a symlink, the name *path* resolves to: a walk
-        that crosses a symlink caches nothing, so the caches hold what
-        they know about the object under its symlink-free name.
-        *canonical* says the walk is known to be symlink-free, and
-        nothing more is walked: a :meth:`VFS.probe` hit for a write to
-        an entry of the parent (create, mkdir, unlink, rmdir, rename,
-        link, symlink); with *follow*, for a write to the object itself
-        (chmod, chown), the dentry its lookup left behind."""
-        generations = self.generations
-        generations.invalidate_path(path)
-        if canonical:
-            return
+    def _resolved(self, path: str, follow: bool = False) -> Optional[str]:
+        """The symlink-free name of *path* when its walk crosses a
+        symlink, else None: a walk that crosses one caches nothing, so
+        the caches hold what they know about the object under its
+        resolved name, and a write spelled through the link must
+        announce that name too. The walk is to the parent for a write
+        to one of its entries (create, mkdir, unlink, rmdir, rename,
+        link, symlink) and, with *follow*, to the object itself (chmod,
+        chown). A write takes it before it changes anything, since the
+        change may move, replace or remove the link; a caller whose
+        walk is known to be symlink-free (a :meth:`VFS.probe` hit, or
+        the dentry a lookup left behind) skips the call."""
         if follow:
             resolved = self.vfs.realpath(path)
         else:
             parent, leaf = posixpath.split(path)
             resolved = posixpath.join(self.vfs.realpath(parent), leaf)
-        if resolved != path:
-            generations.invalidate_path(resolved)
+        return resolved if resolved != path else None
+
+    def _announce(self, path: str, resolved: Optional[str]) -> None:
+        """Announce that a write changed *path* and, when it was spelled
+        through a symlink, its *resolved* name (:meth:`_resolved`,
+        taken before the write): the hub's path fan-out drops each name
+        and everything beneath it."""
+        invalidate_path = self.generations.invalidate_path
+        invalidate_path(path)
+        if resolved is not None:
+            invalidate_path(resolved)
 
     # ==================================================================
     # Files
@@ -410,13 +415,14 @@ class SyscallMixin:
                     target = vfs.create_target(path, task.cred)
             if target is not None:
                 parent, leaf = self._dir_write_permission(task, target, probe)
+                resolved = None if probe is not None else self._resolved(target)
                 created = make_file(
                     b"", uid=task.cred.fsuid, gid=task.cred.fsgid,
                     perm=mode & ~0o022,
                 )
                 parent.entries[leaf] = created
                 # The name now resolves: drop any stale decisions about it.
-                self._announce(target, probe is not None)
+                self._announce(target, resolved)
                 # A create is never cached: no DAC thunk, so no
                 # inode for a hit to return. Its DAC check, write on
                 # the parent, has passed; the modules still see it.
@@ -608,9 +614,10 @@ class SyscallMixin:
         parent, leaf = self._dir_write_permission(task, path, probe)
         if leaf in parent.entries:
             raise SyscallError(Errno.EEXIST, path)
+        resolved = None if probe is not None else self._resolved(path)
         made = make_dir(uid=task.cred.fsuid, gid=task.cred.fsgid, perm=mode)
         parent.entries[leaf] = made
-        self._announce(path, probe is not None)
+        self._announce(path, resolved)
         if probe is not None:
             # Every create inside the new directory probes its dentry
             # next. Files are not instantiated: few are walked again.
@@ -625,8 +632,9 @@ class SyscallMixin:
         if victim.is_dir():
             raise SyscallError(Errno.EISDIR, path)
         self._check_sticky(task, parent, victim, path)
+        resolved = None if probe is not None else self._resolved(path)
         parent.unlink(leaf)
-        self._announce(path, probe is not None)
+        self._announce(path, resolved)
 
     def sys_symlink(self, task: Task, target: str, linkpath: str) -> None:
         self._enter(task, "symlink")
@@ -635,8 +643,9 @@ class SyscallMixin:
         parent, leaf = self._dir_write_permission(task, linkpath, probe)
         if leaf in parent.entries:
             raise SyscallError(Errno.EEXIST, linkpath)
+        resolved = None if probe is not None else self._resolved(linkpath)
         parent.entries[leaf] = make_symlink(target, uid=task.cred.fsuid, gid=task.cred.fsgid)
-        self._announce(linkpath, probe is not None)
+        self._announce(linkpath, resolved)
 
     def sys_chmod(self, task: Task, path: str, mode: int) -> None:
         self._enter(task, "chmod")
@@ -644,6 +653,8 @@ class SyscallMixin:
         inode = self.vfs.lookup(path, task.cred)
         if task.cred.fsuid != inode.uid and not self.capable(task, Capability.CAP_FOWNER):
             raise SyscallError(Errno.EPERM, f"chmod {path}")
+        resolved = (None if self.vfs.walk_cached(path)
+                    else self._resolved(path, follow=True))
         inode.mode = (inode.mode & modes.S_IFMT) | (mode & modes.PERM_MASK)
         inode.mtime += 1
         inode.generation += 1
@@ -651,7 +662,7 @@ class SyscallMixin:
         # object (and, for a directory, every walk through it) is
         # stale; the generation bump orphans the dcache permission
         # entries, the hub's path fan-out drops the path-keyed ones.
-        self._announce(path, self.vfs.walk_cached(path), follow=True)
+        self._announce(path, resolved)
 
     def sys_chown(self, task: Task, path: str, uid: int, gid: int = -1) -> None:
         self._enter(task, "chown")
@@ -662,6 +673,8 @@ class SyscallMixin:
         if gid != -1 and gid != inode.gid:
             if not (task.cred.fsuid == inode.uid and task.cred.in_group(gid)):
                 self.require_capable(task, Capability.CAP_CHOWN, f"chgrp {path}")
+        resolved = (None if self.vfs.walk_cached(path)
+                    else self._resolved(path, follow=True))
         if uid != -1:
             inode.uid = uid
             # Linux clears the set-id bits on an ownership change, but
@@ -673,7 +686,7 @@ class SyscallMixin:
             inode.gid = gid
         inode.mtime += 1
         inode.generation += 1
-        self._announce(path, self.vfs.walk_cached(path), follow=True)
+        self._announce(path, resolved)
 
     def sys_link(self, task: Task, target: str, linkpath: str) -> None:
         """Hard link: same inode, another name; nlink bookkeeping."""
@@ -685,8 +698,9 @@ class SyscallMixin:
             raise SyscallError(Errno.EISDIR, target)
         probe = self.vfs.probe(linkpath)
         parent, leaf = self._dir_write_permission(task, linkpath, probe)
+        resolved = None if probe is not None else self._resolved(linkpath)
         parent.link(leaf, inode)
-        self._announce(linkpath, probe is not None)
+        self._announce(linkpath, resolved)
 
     def sys_rename(self, task: Task, old_path: str, new_path: str) -> None:
         """rename(2); both parents need write permission; an existing
@@ -715,6 +729,12 @@ class SyscallMixin:
         existing = new_parent.entries.get(new_leaf)
         if existing is inode:
             return
+        # Both resolved names before the move: it may move or replace
+        # the symlink either name is spelled through.
+        old_resolved = (None if old_probe is not None
+                        else self._resolved(old_path))
+        new_resolved = (None if new_probe is not None
+                        else self._resolved(new_path))
         self._check_sticky(task, old_parent, inode, old_path)
         if existing is not None:
             self._check_sticky(task, new_parent, existing, new_path)
@@ -727,8 +747,8 @@ class SyscallMixin:
             new_parent.unlink(new_leaf)
         old_parent.unlink(old_leaf)
         new_parent.link(new_leaf, inode)
-        self._announce(old_path, old_probe is not None)
-        self._announce(new_path, new_probe is not None)
+        self._announce(old_path, old_resolved)
+        self._announce(new_path, new_resolved)
 
     def sys_rmdir(self, task: Task, path: str) -> None:
         self._enter(task, "rmdir")
@@ -743,8 +763,9 @@ class SyscallMixin:
             raise SyscallError(Errno.ENOTEMPTY, path)
         if self.vfs.mount_at(path) is not None:
             raise SyscallError(Errno.EBUSY, path)
+        resolved = None if probe is not None else self._resolved(path)
         parent.unlink(leaf)
-        self._announce(path, probe is not None)
+        self._announce(path, resolved)
 
     def sys_readdir(self, task: Task, path: str) -> List[str]:
         self._enter(task, "readdir")

@@ -347,6 +347,19 @@ class TestDenialAttribution:
         assert result is HookResult.DENY
         assert module == "first"
         assert calls == ["first"]
+        # The same on a booted kernel whose chain the two join after
+        # AppArmor and Protego: each binds its hooks as it registers.
+        system = System(SystemMode.PROTEGO)
+        kernel = system.kernel
+        kernel.fastpath.enabled = False
+        alice = system.session_for("alice")
+        kernel.register_module(First())
+        kernel.register_module(Second())
+        del calls[:]
+        with pytest.raises(SyscallError) as err:
+            kernel.read_file(alice, "/etc/fstab")
+        assert err.value.context == "first:file_open"
+        assert calls == ["first"]
 
     def test_deny_errno_carries_module_context(self):
         err = deny_errno("protego", "sb_mount", "/dev/cdrom")

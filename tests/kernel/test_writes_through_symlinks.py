@@ -97,6 +97,14 @@ CASES = {
     "rename": (_dir_link, lambda k, r: k.sys_rename(r, "/w/ln/f", "/w/ln/g"),
                _read, "/w/d/f", ("err", Errno.ENOENT), MODES),
     "create": (_dir_link, _create, _stat, "/w/d/new", ("ok",), MODES),
+    # The rename moves the link its destination is spelled through.
+    "rename-moves-the-link": (
+        _dir_link, lambda k, r: k.sys_rename(r, "/w/ln", "/w/ln/x"),
+        _stat, "/w/d/x", ("ok",), MODES),
+    # The rename replaces the link its source is spelled through.
+    "rename-replaces-the-link": (
+        _dir_link, lambda k, r: k.sys_rename(r, "/w/ln/f", "/w/ln"),
+        _read, "/w/d/f", ("err", Errno.ENOENT), MODES),
     "chmod": (_file_link, lambda k, r: k.sys_chmod(r, "/w/ln", 0o600),
               _read, "/w/f", ("err", Errno.EACCES), MODES),
     "chown": (_owned_file_link, lambda k, r: k.sys_chown(r, "/w/ln", 0, 0),
