@@ -10,6 +10,11 @@ The ``applies_to_unprivileged_raw_only`` flag models the paper's
 "modest extensions to the Linux netfilter framework" (the 100-line
 netfilter component of Table 2): stock netfilter cannot scope a rule
 to packets from capability-less raw sockets.
+
+An outgoing packet meets two chains, administrator OUTPUT rules and
+then, when none of them matched, Protego's PROTEGO_RAW defaults.
+:meth:`NetfilterTable.output_verdict` judges both with one flow-cache
+probe; :meth:`NetfilterTable.evaluate_detailed` answers one chain.
 """
 
 from __future__ import annotations
@@ -36,6 +41,12 @@ class Chain(str, enum.Enum):
     # so "the rules may be changed by the administrator through the
     # iptables utility" (section 4.1.1) without fighting rule order.
     PROTEGO_RAW = "PROTEGO_RAW"
+
+
+#: The chain slot of a send-path flow key (:meth:`NetfilterTable.
+#: output_verdict`). No :class:`Chain`, a str enum, equals a bare
+#: object, so a composed entry and a per-chain entry never share a key.
+_SEND_PATH = object()
 
 
 @dataclasses.dataclass
@@ -98,16 +109,18 @@ class NetfilterTable:
     transport predicate, and the socket's identity (id + the
     unprivileged-raw mark) — so two packets with equal keys are
     indistinguishable to *any* rule and the cached verdict is exact.
-    Every ``append``/``insert``/``extend``/``flush`` and every policy
-    assignment empties the cache, so every held entry was computed
-    under the current rules and a rule change can never be masked by a
-    stale verdict. Rule objects must not be mutated in place after
-    insertion — route changes through these methods.
+    The send path's composed entry (:meth:`output_verdict`) lives in
+    the same bounded table, keyed apart by :data:`_SEND_PATH` in the
+    chain slot. Every ``append``/``insert``/``extend``/``flush`` and
+    every policy assignment empties the cache, so every held entry was
+    computed under the current rules and a rule change can never be
+    masked by a stale verdict. Rule objects must not be mutated in
+    place after insertion — route changes through these methods.
 
     The cache decides the *verdict only*. Injected wire faults
     (drop/dup/reorder) act on the send path strictly after
-    ``evaluate`` returns, cached or not. The ``stats`` dict is read by
-    the kernel's counters registry as ``kernel.netfilter.*``.
+    ``output_verdict`` returns, cached or not. The ``stats`` dict is
+    read by the kernel's counters registry as ``kernel.netfilter.*``.
     """
 
     FLOW_CACHE_SIZE = 4096
@@ -115,7 +128,9 @@ class NetfilterTable:
     def __init__(self):
         self._chains = {chain: [] for chain in Chain}
         self.flow_cache_enabled = True
-        self._flows: "collections.OrderedDict[tuple, Tuple[Verdict, bool]]" = (
+        # key -> (verdict, matched) per chain, or the send path's
+        # (dropping chain, chains walked, accepts).
+        self._flows: "collections.OrderedDict[tuple, tuple]" = (
             collections.OrderedDict())
         self.stats = {"evaluated": 0, "dropped": 0, "accepted": 0,
                       "flow_hits": 0, "flow_misses": 0,
@@ -154,7 +169,7 @@ class NetfilterTable:
         self.stats["flow_invalidations"] += 1
 
     @staticmethod
-    def _flow_key(chain: Chain, packet: Packet,
+    def _flow_key(chain: object, packet: Packet,
                   socket: Optional[Socket]) -> tuple:
         return (
             chain, packet.protocol, packet.icmp_type,
@@ -170,10 +185,24 @@ class NetfilterTable:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
+    def _walk(self, chain: Chain, packet: Packet,
+              socket: Optional[Socket]) -> Tuple[Verdict, bool]:
+        """The rule walk behind every verdict: the first matching rule
+        wins, else the chain policy. Returns (verdict, matched-a-rule)."""
+        for rule in self._chains[chain]:
+            if rule.matches(packet, socket):
+                return rule.verdict, True
+        return self.policy[chain], False
+
+    def _remember(self, key: tuple, entry: tuple) -> None:
+        flows = self._flows
+        if len(flows) >= self.FLOW_CACHE_SIZE:
+            flows.popitem(last=False)
+        flows[key] = entry
+
     def evaluate_detailed(self, chain: Chain, packet: Packet,
                           socket: Optional[Socket] = None):
-        """Flow-cache probe, else walk the chain (first matching rule
-        wins, falling back to the chain policy) and memoize. Returns
+        """Flow-cache probe, else walk the chain and memoize. Returns
         (verdict, matched-a-rule); the accepted/dropped tallies count
         every packet, hit or miss."""
         self.stats["evaluated"] += 1
@@ -185,16 +214,48 @@ class NetfilterTable:
                 self.stats["flow_hits"] += 1
                 return self._tally(entry[0]), entry[1]
             self.stats["flow_misses"] += 1
-        verdict, matched = self.policy[chain], False
-        for rule in self._chains[chain]:
-            if rule.matches(packet, socket):
-                verdict, matched = rule.verdict, True
-                break
+        verdict, matched = self._walk(chain, packet, socket)
         if key is not None:
-            if len(self._flows) >= self.FLOW_CACHE_SIZE:
-                self._flows.popitem(last=False)
-            self._flows[key] = (verdict, matched)
+            self._remember(key, (verdict, matched))
         return self._tally(verdict), matched
+
+    def output_verdict(self, packet: Packet,
+                       socket: Optional[Socket] = None) -> Optional[Chain]:
+        """The send path's verdict: OUTPUT, then PROTEGO_RAW when no
+        OUTPUT rule matched. Returns the chain that dropped *packet*,
+        or None when it may leave.
+
+        One flow-cache probe answers both chains. The composed entry's
+        key is the per-chain key with :data:`_SEND_PATH` in the chain
+        slot, and it holds (dropping chain, chains walked, accepts), so
+        a hit or a miss moves every tally exactly as one
+        :meth:`evaluate_detailed` call per chain walked would."""
+        stats = self.stats
+        key = entry = None
+        if self.flow_cache_enabled:
+            key = self._flow_key(_SEND_PATH, packet, socket)
+            entry = self._flows.get(key)
+        if entry is None:
+            verdict, matched = self._walk(Chain.OUTPUT, packet, socket)
+            if verdict is Verdict.DROP:
+                entry = (Chain.OUTPUT, 1, 0)
+            elif matched:
+                entry = (None, 1, 1)
+            elif self._walk(Chain.PROTEGO_RAW, packet, socket)[0] is Verdict.DROP:
+                entry = (Chain.PROTEGO_RAW, 2, 1)
+            else:
+                entry = (None, 2, 2)
+            if key is not None:
+                self._remember(key, entry)
+                stats["flow_misses"] += entry[1]
+        else:
+            stats["flow_hits"] += entry[1]
+        dropped_by, walked, accepted = entry
+        stats["evaluated"] += walked
+        stats["accepted"] += accepted
+        if dropped_by is not None:
+            stats["dropped"] += 1
+        return dropped_by
 
     def _tally(self, verdict: Verdict) -> Verdict:
         if verdict is Verdict.DROP:

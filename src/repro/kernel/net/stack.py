@@ -1,11 +1,13 @@
 """The network stack: interfaces, port table, the packet send path.
 
 Delivery model: deterministic, synchronous. An outgoing packet
-traverses the OUTPUT netfilter chain, then the routing table; if it is
-addressed to a local interface it is delivered to the bound socket (or
-answered by the stack itself for ICMP echo); if it matches a
-registered remote host, that host's responder runs. This keeps every
-policy decision the paper cares about on-path while avoiding real I/O.
+traverses the OUTPUT netfilter chain and, when no OUTPUT rule matched,
+Protego's PROTEGO_RAW chain (one flow-cache probe judges both), then
+the routing table; if it is addressed to a local interface it is
+delivered to the bound socket (or answered by the stack itself for
+ICMP echo); if it matches a registered remote host, that host's
+responder runs. This keeps every policy decision the paper cares about
+on-path while avoiding real I/O.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from repro.kernel.fault import (
     SITE_NET_REORDER,
     FaultSite,
 )
-from repro.kernel.net.netfilter import Chain, NetfilterTable, Verdict
+from repro.kernel.net.netfilter import Chain, NetfilterTable
 from repro.kernel.net.packets import ICMPType, Packet, Protocol
 from repro.kernel.net.routing import RoutingTable
 from repro.kernel.net.socket import Socket, SocketState
@@ -31,6 +33,8 @@ from repro.kernel.net.socket import Socket, SocketState
 class NetworkInterface:
     name: str
     ip: str
+    # Read when the stack adds or removes an interface: its
+    # local-address set is rebuilt then, not on every packet.
     up: bool = True
     # Simulated per-hop cost used by the latency-shaped benchmarks.
     wire_cost: int = 0
@@ -84,6 +88,7 @@ class NetworkStack:
         self.interfaces: Dict[str, NetworkInterface] = {
             "lo": NetworkInterface("lo", "127.0.0.1"),
         }
+        self._local_addrs = frozenset(self.local_ips())
         self.routing = RoutingTable()
         self.netfilter = NetfilterTable()
         self.ports: Dict[Tuple[str, int], Socket] = {}
@@ -117,10 +122,12 @@ class NetworkStack:
     def add_interface(self, name: str, ip: str, wire_cost: int = 0) -> NetworkInterface:
         iface = NetworkInterface(name, ip, wire_cost=wire_cost)
         self.interfaces[name] = iface
+        self._local_addrs = frozenset(self.local_ips())
         return iface
 
     def remove_interface(self, name: str) -> None:
         self.interfaces.pop(name, None)
+        self._local_addrs = frozenset(self.local_ips())
         self.routing.remove_by_device(name)
 
     def local_ips(self) -> List[str]:
@@ -167,22 +174,18 @@ class NetworkStack:
     def send(self, packet: Packet, socket: Optional[Socket] = None) -> List[Packet]:
         """Transmit *packet*; returns any replies delivered back.
 
-        Raises EPERM when the OUTPUT chain drops the packet (this is
-        how a compromised, deprivileged ping observes Protego's
-        policy) and ENETUNREACH when no route exists.
+        Raises EPERM when the OUTPUT chain drops the packet, or when
+        no administrator OUTPUT rule claimed it and Protego's
+        unprivileged-raw defaults (PROTEGO_RAW) drop it (this is how a
+        compromised, deprivileged ping observes Protego's policy), and
+        ENETUNREACH when no route exists.
         """
-        verdict, matched = self.netfilter.evaluate_detailed(
-            Chain.OUTPUT, packet, socket)
-        if verdict is Verdict.DROP:
+        dropped_by = self.netfilter.output_verdict(packet, socket)
+        if dropped_by is not None:
             self.dropped_log.append(packet)
-            raise SyscallError(Errno.EPERM, "netfilter OUTPUT drop")
-        if not matched:
-            # No administrator rule claimed the packet: Protego's
-            # unprivileged-raw defaults get their say.
-            verdict = self.netfilter.evaluate(Chain.PROTEGO_RAW, packet, socket)
-            if verdict is Verdict.DROP:
-                self.dropped_log.append(packet)
-                raise SyscallError(Errno.EPERM, "netfilter PROTEGO_RAW drop")
+            if dropped_by is Chain.OUTPUT:
+                raise SyscallError(Errno.EPERM, "netfilter OUTPUT drop")
+            raise SyscallError(Errno.EPERM, "netfilter PROTEGO_RAW drop")
 
         # Injected wire faults run strictly after the policy verdict:
         # they can lose or repeat traffic, never smuggle it past the
@@ -226,7 +229,7 @@ class NetworkStack:
         """The post-filter delivery path: route and deliver."""
         self.sent_log.append(packet)
 
-        if packet.dst_ip in self.local_ips():
+        if packet.dst_ip in self._local_addrs:
             return self._deliver_local(packet)
 
         route = self.routing.lookup(packet.dst_ip)
@@ -244,8 +247,11 @@ class NetworkStack:
 
     def _deliver_local(self, packet: Packet) -> List[Packet]:
         delivered: List[Packet] = []
-        if packet.protocol in (Protocol.TCP, Protocol.UDP):
-            target = self.ports.get((packet.protocol.value, packet.dst_port))
+        protocol = packet.protocol
+        port_key = ("udp" if protocol is Protocol.UDP
+                    else "tcp" if protocol is Protocol.TCP else None)
+        if port_key is not None:
+            target = self.ports.get((port_key, packet.dst_port))
             if target is not None:
                 target.enqueue(packet)
                 delivered.append(packet)
@@ -259,7 +265,7 @@ class NetworkStack:
         if (
             packet.protocol is Protocol.ICMP
             and packet.icmp_type is ICMPType.ECHO_REQUEST
-            and packet.dst_ip in self.local_ips()
+            and packet.dst_ip in self._local_addrs
         ):
             reply = packet.reply_template()
             reply.icmp_type = ICMPType.ECHO_REPLY
@@ -279,7 +285,7 @@ class NetworkStack:
         Returns the accepted server-side socket when the destination
         is local and listening; raises ECONNREFUSED otherwise.
         """
-        if dst_ip in self.local_ips():
+        if dst_ip in self._local_addrs:
             server = self.ports.get((client.protocol, dst_port))
             if server is None or server.state is not SocketState.LISTENING:
                 raise SyscallError(Errno.ECONNREFUSED, f"{dst_ip}:{dst_port}")

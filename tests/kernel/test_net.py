@@ -214,6 +214,30 @@ class TestSendReceive:
         replies = [p for p in sock.recv_queue if p.icmp_type is ICMPType.ECHO_REPLY]
         assert replies
 
+    def test_local_addresses_follow_interface_changes(self, kernel, root):
+        """An interface's address is local from its add to its removal,
+        and a re-added name answers only at its new address."""
+        server = kernel.sys_socket(root, AddressFamily.AF_INET, SocketType.DGRAM)
+        kernel.sys_bind(root, server, "0.0.0.0", 9)
+
+        def send_udp(dst):
+            kernel.net.send(Packet(Protocol.UDP, "10.9.0.1", dst, dst_port=9))
+
+        kernel.net.add_interface("tun0", "10.9.0.1")
+        send_udp("10.9.0.1")
+        assert server.has_data()
+        server.dequeue()
+        kernel.net.add_interface("tun0", "10.9.0.2")
+        send_udp("10.9.0.1")           # no longer ours: routed away
+        assert not server.has_data()
+        send_udp("10.9.0.2")
+        assert server.has_data()
+        kernel.net.remove_interface("tun0")
+        kernel.net.routing.remove("0.0.0.0/0")
+        with pytest.raises(SyscallError) as err:
+            send_udp("10.9.0.2")
+        assert err.value.errno_value == Errno.ENETUNREACH
+
     def test_no_route_raises_enetunreach(self, kernel, root):
         kernel.net.routing.remove("0.0.0.0/0")
         sock = kernel.sys_socket(root, AddressFamily.AF_INET, SocketType.RAW, "icmp")

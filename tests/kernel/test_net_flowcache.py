@@ -5,6 +5,7 @@ import dataclasses
 
 import pytest
 
+from repro.core.rawsock_policy import RawSocketPolicy
 from repro.kernel import Kernel
 from repro.kernel.errno import Errno, SyscallError
 from repro.kernel.net import (
@@ -236,3 +237,166 @@ class TestRuleImmutabilityContract:
         table.flush(Chain.OUTPUT)
         table.extend([dataclasses.replace(rule, verdict=Verdict.ACCEPT)])
         assert table.evaluate(Chain.OUTPUT, pkt) is Verdict.ACCEPT
+
+
+# ----------------------------------------------------------------------
+# The send path's one probe against the per-chain oracle
+# ----------------------------------------------------------------------
+class _TwoCallStack(NetworkStack):
+    """The send path with its verdict asked one chain at a time, as two
+    :meth:`NetfilterTable.evaluate_detailed` calls: the oracle for
+    :meth:`NetfilterTable.output_verdict`. Faults stay disarmed."""
+
+    def send(self, packet, socket=None):
+        verdict, matched = self.netfilter.evaluate_detailed(
+            Chain.OUTPUT, packet, socket)
+        if verdict is Verdict.DROP:
+            self.dropped_log.append(packet)
+            raise SyscallError(Errno.EPERM, "netfilter OUTPUT drop")
+        if not matched:
+            verdict = self.netfilter.evaluate(Chain.PROTEGO_RAW, packet, socket)
+            if verdict is Verdict.DROP:
+                self.dropped_log.append(packet)
+                raise SyscallError(Errno.EPERM, "netfilter PROTEGO_RAW drop")
+        return self._transmit(packet)
+
+
+def _send_stack(cls=NetworkStack):
+    stack = cls()
+    stack.add_interface("eth0", "10.0.0.1")
+    stack.routing.add(Route("0.0.0.0/0", "eth0"))
+    stack.add_remote_host(RemoteHost("8.8.8.8", hops=1))
+    server = Socket(AddressFamily.AF_INET, SocketType.DGRAM, "udp", 0, 1)
+    stack.bind_socket(server, "10.0.0.1", 7)
+    return stack
+
+
+def _packet(protocol, dst, dst_port=0, origin=HeaderOrigin.KERNEL):
+    from repro.kernel.net.packets import Packet
+    return Packet(protocol, "10.0.0.1", dst, src_port=40000,
+                  dst_port=dst_port, header_origin=origin, sender_uid=1000)
+
+
+#: name -> (socket factory, packet factory); each send builds a fresh
+#: packet, as a real sender does.
+SENDERS = {
+    "kernel-udp": (
+        lambda: Socket(AddressFamily.AF_INET, SocketType.DGRAM, "udp", 1000, 10),
+        lambda: _packet(Protocol.UDP, "10.0.0.1", 7)),
+    "kernel-tcp": (
+        lambda: Socket(AddressFamily.AF_INET, SocketType.STREAM, "tcp", 1000, 11),
+        lambda: _packet(Protocol.TCP, "8.8.8.8", 80)),
+    "privileged-raw-icmp": (
+        lambda: Socket(AddressFamily.AF_INET, SocketType.RAW, "icmp", 0, 12),
+        lambda: ping()),
+    "unprivileged-raw-echo": (
+        lambda: Socket(AddressFamily.AF_INET, SocketType.RAW, "icmp", 1000, 13,
+                       unprivileged_raw=True),
+        lambda: ping(uid=1000)),
+    "unprivileged-raw-spoofed-udp": (
+        lambda: Socket(AddressFamily.AF_INET, SocketType.RAW, "udp", 1000, 14,
+                       unprivileged_raw=True),
+        lambda: _packet(Protocol.UDP, "8.8.8.8", 53, HeaderOrigin.USER_IP)),
+}
+
+
+def _raw_defaults(table):
+    RawSocketPolicy().install(table)
+
+
+def _output_policy_drop(table):
+    table.policy[Chain.OUTPUT] = Verdict.DROP
+
+
+#: name -> the steps that program a twin table. The administrator's
+#: rules sit on top of Protego's raw defaults, as on a Protego machine.
+RULESETS = {
+    "none": [],
+    "raw-defaults": [_raw_defaults],
+    "output-drop-port": [
+        _raw_defaults,
+        lambda table: table.append(Rule(Verdict.DROP, dst_port=53))],
+    "output-accept-match": [
+        _raw_defaults,
+        lambda table: table.append(Rule(Verdict.ACCEPT, protocol=Protocol.UDP))],
+    "raw-head-admin-accept": [
+        _raw_defaults,
+        lambda table: table.insert(Rule(Verdict.ACCEPT, chain=Chain.PROTEGO_RAW,
+                                        owner_uid=1000, protocol=Protocol.UDP))],
+    "output-policy-drop": [_raw_defaults, _output_policy_drop],
+}
+
+
+def _outcome(stack, packet, socket):
+    try:
+        replies = stack.send(packet, socket)
+    except SyscallError as err:
+        return err.errno_value, err.context
+    return [(r.protocol, r.src_ip, r.dst_ip, r.src_port, r.dst_port,
+             r.icmp_type) for r in replies]
+
+
+def _against_oracle(sender, ruleset, flow_cache=True, sends=3):
+    """Send *sends* packets through a stack and its two-call twin;
+    after each, the outcomes and the whole stats dicts must agree."""
+    make_socket, make_packet = SENDERS[sender]
+    stack, oracle = _send_stack(), _send_stack(_TwoCallStack)
+    for twin in (stack, oracle):
+        for step in RULESETS[ruleset]:
+            step(twin.netfilter)
+        twin.netfilter.flow_cache_enabled = flow_cache
+    sock, oracle_sock = make_socket(), make_socket()
+    for _ in range(sends):
+        got = _outcome(stack, make_packet(), sock)
+        assert got == _outcome(oracle, make_packet(), oracle_sock)
+        assert stack.netfilter.stats == oracle.netfilter.stats
+    return stack
+
+
+class TestOneProbeSendPath:
+    @pytest.mark.parametrize("ruleset", sorted(RULESETS))
+    @pytest.mark.parametrize("sender", sorted(SENDERS))
+    def test_matches_two_call_oracle(self, sender, ruleset):
+        stack = _against_oracle(sender, ruleset)
+        # One composed entry answers every send of the flow.
+        assert stack.netfilter.flow_cache_len() == 1
+
+    @pytest.mark.parametrize("chain", [Chain.OUTPUT, Chain.PROTEGO_RAW])
+    def test_rule_appended_after_caching_decides_next_send(self, chain):
+        stack = _send_stack()
+        make_socket, make_packet = SENDERS["unprivileged-raw-echo"]
+        sock = make_socket()
+        assert stack.send(make_packet(), sock) != []
+        assert stack.send(make_packet(), sock) != []
+        assert stack.netfilter.stats["flow_hits"] == 2
+        stack.netfilter.append(Rule(Verdict.DROP, chain=chain,
+                                    protocol=Protocol.ICMP))
+        with pytest.raises(SyscallError) as err:
+            stack.send(make_packet(), sock)
+        assert err.value.context == f"netfilter {chain.value} drop"
+
+    @pytest.mark.parametrize("sender", sorted(SENDERS))
+    def test_disabled_cache_matches_oracle_and_holds_nothing(self, sender):
+        for ruleset in RULESETS:
+            stack = _against_oracle(sender, ruleset, flow_cache=False)
+            stats = stack.netfilter.stats
+            assert stats["flow_hits"] == stats["flow_misses"] == 0
+            assert stack.netfilter.flow_cache_len() == 0
+
+    def test_second_packet_makes_no_per_chain_call(self, monkeypatch):
+        calls = []
+        per_chain = NetfilterTable.evaluate_detailed
+
+        def spy(self, chain, *args):
+            calls.append(chain)
+            return per_chain(self, chain, *args)
+
+        monkeypatch.setattr(NetfilterTable, "evaluate_detailed", spy)
+        stack = _send_stack()
+        make_socket, make_packet = SENDERS["unprivileged-raw-echo"]
+        sock = make_socket()
+        stack.send(make_packet(), sock)
+        calls.clear()
+        assert stack.send(make_packet(), sock) != []
+        assert calls == []
+        assert stack.netfilter.stats["flow_hits"] == 2
