@@ -148,13 +148,20 @@ class VideoDevice(Device):
         self.current_console = 1
 
     def kms_switch(self, console: int) -> VideoState:
-        """Kernel-side context switch (Ctrl-Alt-Fn)."""
+        """Kernel-side context switch (Ctrl-Alt-Fn). The live state
+        belongs to the console being left, so it is kept as that
+        console's saved state, not copied; a console seen for the first
+        time starts from the default mode."""
         if not self.kms:
             raise SyscallError(Errno.ENOSYS, "driver lacks KMS")
-        self._saved[self.current_console] = dataclasses.replace(self.state)
+        saved = self._saved
+        saved[self.current_console] = self.state
         self.current_console = console
-        self.state = self._saved.get(console, VideoState())
-        return self.state
+        state = saved.get(console)
+        if state is None:
+            state = VideoState()
+        self.state = state
+        return state
 
     def set_mode(self, resolution: str, refresh_hz: int) -> None:
         self.state.resolution = resolution

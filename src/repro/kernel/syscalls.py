@@ -241,12 +241,13 @@ class SyscallMixin:
         The DAC layer walks to the parent under the caller's
         credentials first, so a name in a directory the caller cannot
         search is neither changed nor reported on, and ENOENT/ENOTDIR
-        still come before EACCES, as in Linux. *probe* is what
-        :meth:`VFS.probe` returned for *path*: when the decision cache
-        answers, its dentry names the parent."""
-        parent_path, leaf = posixpath.split(path)
+        still come before EACCES, as in Linux. *path* is normalized.
+        *probe* is what :meth:`VFS.probe` returned for *path*: when the
+        decision cache answers, its dentry names the parent."""
+        head, _, leaf = path.rpartition("/")
         if not leaf:
             raise SyscallError(Errno.EEXIST, path)
+        parent_path = head or "/"
         mask = modes.W_OK | modes.X_OK
         parent = None
 

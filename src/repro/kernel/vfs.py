@@ -339,6 +339,8 @@ class VFS:
         root when a mount covers *path*, None when the name is absent).
         None when the parent's walk is not cached, did not end at a
         directory, or *path* is ``/``: the caller takes the full route.
+        *path* is normalized, so its parent is what precedes its last
+        slash.
 
         The dentry is the one :meth:`resolve_parent` trusts on a hit,
         and the probe counts as one dcache lookup. No permission is
@@ -346,12 +348,12 @@ class VFS:
         dcache = self.dcache
         if not dcache.enabled:
             return None
-        parent_path, leaf = posixpath.split(path)
+        head, _, leaf = path.rpartition("/")
         if not leaf:
             return None
         stats = dcache.stats
         stats.lookups += 1
-        entry = dcache.get(parent_path, True)
+        entry = dcache.get(head or "/", True)
         if entry is None or entry.inode is None or not entry.inode.is_dir():
             stats.misses += 1
             return None
@@ -386,7 +388,8 @@ class VFS:
         norm = normalize(path)
         if norm == "/":
             raise SyscallError(Errno.EEXIST, "/")
-        parent_path, leaf = posixpath.split(norm)
+        head, _, leaf = norm.rpartition("/")
+        parent_path = head or "/"
         parent = self.resolve(parent_path)
         if not parent.is_dir():
             raise SyscallError(Errno.ENOTDIR, parent_path)

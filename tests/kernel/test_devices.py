@@ -104,6 +104,14 @@ class TestVideoKMS:
         card.kms_switch(1)           # back to console 1
         assert card.state.resolution == "1920x1080"
         assert card.state.refresh_hz == 75
+        # A round trip through a console that now has a saved state:
+        # each console keeps its own mode.
+        card.kms_switch(2)
+        card.set_mode("1280x1024", 60)
+        card.kms_switch(1)
+        assert (card.state.resolution, card.state.refresh_hz) == ("1920x1080", 75)
+        card.kms_switch(2)
+        assert (card.state.resolution, card.state.refresh_hz) == ("1280x1024", 60)
 
     def test_non_kms_driver_raises_enosys(self):
         card = VideoDevice(kms=False)
